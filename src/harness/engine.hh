@@ -103,7 +103,8 @@ class Engine
  * shared by `swapram_tool sweep`, the golden conformance suite, and the
  * determinism tests, so all three pin exactly the same configuration.
  * The swap timeline is observed for caching systems so swap-in counts
- * land in the metrics.
+ * land in the metrics; it reads bus accesses only in the copy loop,
+ * so the rest of each run stays on the threaded tier.
  */
 RunSpec sweepSpec(const workloads::Workload &workload, System system,
                   Placement placement = Placement::Unified,

@@ -79,7 +79,7 @@ struct ObserveSpec {
      *  stall-latency histogram, and (for cache systems) the
      *  miss-handler-duration histogram. Results land in
      *  Metrics::run_metrics. Host-side only; forces single-step
-     *  execution like tracing. */
+     *  execution like profiling. */
     bool metrics = false;
 
     bool tracing() const { return categories != trace::kCatNone; }

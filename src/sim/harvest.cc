@@ -1,37 +1,69 @@
 #include "sim/harvest.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "support/logging.hh"
+#include "support/strings.hh"
 
 namespace swapram::sim {
+
+namespace {
+
+/** One CSV field: blanks around it allowed, the rest must be a finite
+ *  number that strtod consumes entirely. */
+bool
+parseField(std::string_view field, double &out)
+{
+    std::string text(support::trim(field));
+    if (text.empty())
+        return false;
+    char *end = nullptr;
+    out = std::strtod(text.c_str(), &end);
+    return end == text.c_str() + text.size() && std::isfinite(out);
+}
+
+} // namespace
 
 HarvestTrace
 HarvestTrace::parse(const std::string &csv, const std::string &what)
 {
+    constexpr std::string_view kHeader = "time_s,power_w";
     std::vector<Point> points;
     std::istringstream in(csv);
     std::string line;
     int lineno = 0;
+    bool header_allowed = true;
     while (std::getline(in, line)) {
         ++lineno;
         std::size_t hash = line.find('#');
         if (hash != std::string::npos)
             line.erase(hash);
-        std::size_t start = line.find_first_not_of(" \t\r");
-        if (start == std::string::npos)
+        std::string_view text = support::trim(line);
+        if (text.empty())
             continue;
-        std::size_t comma = line.find(',');
-        if (comma == std::string::npos) {
-            support::fatal(what, ":", lineno,
-                           ": expected \"time_s,power_w\"");
+        if (text == kHeader) {
+            if (!header_allowed) {
+                support::fatal(what, ":", lineno, ": header \"", kHeader,
+                               "\" is only allowed as the first line");
+            }
+            header_allowed = false;
+            continue;
         }
-        char *end = nullptr;
-        double t = std::strtod(line.c_str() + start, &end);
-        double w = std::strtod(line.c_str() + comma + 1, &end);
+        header_allowed = false;
+        std::size_t comma = text.find(',');
+        double t = 0, w = 0;
+        if (comma == std::string_view::npos ||
+            !parseField(text.substr(0, comma), t) ||
+            !parseField(text.substr(comma + 1), w)) {
+            support::fatal(what, ":", lineno, ": expected \"", kHeader,
+                           "\" as two finite numbers, got \"", text,
+                           "\"");
+        }
         if (t < 0 || w < 0) {
             support::fatal(what, ":", lineno,
                            ": negative time or power");

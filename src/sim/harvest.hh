@@ -33,7 +33,10 @@ namespace swapram::sim {
  * A piecewise-constant harvesting profile: at time t in seconds the
  * source delivers `watts(t)`, where the trace's last point extends
  * forever. Loaded from CSV lines of "time_s,power_w" ('#' comments and
- * blank lines ignored; times strictly increasing, first at 0).
+ * blank lines ignored; times strictly increasing, first at 0). Both
+ * fields must be finite numbers with nothing else on the line; the
+ * literal header line `time_s,power_w` is accepted as the first
+ * non-comment line only.
  */
 class HarvestTrace
 {

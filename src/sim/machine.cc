@@ -172,17 +172,23 @@ Machine::classifyPc(std::uint16_t pc) const
 }
 
 void
+Machine::noteOwner(std::uint16_t pc, std::uint8_t owner)
+{
+    if (owner == last_owner_)
+        return;
+    if (trace_->wants(trace::kCatSwap)) {
+        trace_->emit({stats_.totalCycles(), trace::EventKind::OwnerChange,
+                      0, pc, owner, last_owner_});
+    }
+    last_owner_ = owner;
+}
+
+void
 Machine::stepObserved(std::uint16_t pc, CodeOwner owner)
 {
     auto owner8 = static_cast<std::uint8_t>(owner);
-    if (trace_ && owner8 != last_owner_) {
-        if (trace_->wants(trace::kCatSwap)) {
-            trace_->emit({stats_.totalCycles(),
-                          trace::EventKind::OwnerChange, 0, pc, owner8,
-                          last_owner_});
-        }
-        last_owner_ = owner8;
-    }
+    if (trace_)
+        noteOwner(pc, owner8);
     StatSnapshot pre(stats_);
     cpu_.step(stats_);
     trace::StepCosts costs = pre.deltaTo(stats_);
@@ -302,20 +308,59 @@ Machine::trySuperblock()
     limits.timer_fire = timer_next_fire_;
     limits.timer_pending = timer_pending_;
 
+    const std::uint16_t pc = cpu_.pc();
+    std::uint8_t owner = 0;
+    if (trace_) {
+        // Observed dispatch: chains only where nobody wants more than
+        // the owner-change and power events emitted between them. The
+        // copy loop always single-steps (the swap timeline reads its
+        // accesses).
+        if (trace_->outsideCopyMask() &
+            ~(trace::kCatSwap | trace::kCatPower))
+            return false;
+        owner = static_cast<std::uint8_t>(classifyPc(pc));
+        if (owner == static_cast<std::uint8_t>(CodeOwner::Memcpy))
+            return false;
+        // The events below belong before the next retired instruction,
+        // so a timer entry due now (which step() delivers first) and a
+        // checkpoint probe (step() emits it first) stay on the oracle.
+        if (config_.timer_period_cycles &&
+            (timer_pending_ || limits.now >= timer_next_fire_) &&
+            cpu_.interruptsEnabled())
+            return false;
+        if (trace_->wants(trace::kCatPower)) {
+            if (pc == ckpt_commit_entry_ || pc == ckpt_restore_entry_)
+                return false;
+            limits.probe_a = ckpt_commit_entry_;
+            limits.probe_b = ckpt_restore_entry_;
+        }
+        limits.observed = true;
+    }
+
     bool in = false;
     if (recovery_end_) {
-        std::uint16_t pc = cpu_.pc();
         in = pc >= recovery_base_ &&
              static_cast<std::uint32_t>(pc) < recovery_end_;
         if (in != in_recovery_) {
-            // Trace recovery events only exist with an engine attached,
-            // and an attached engine disables dispatch entirely -- only
-            // the accounting state needs maintaining here.
             in_recovery_ = in;
             if (in)
                 recovery_enter_cycle_ = limits.now;
+            if (trace_ && trace_->wants(trace::kCatPower)) {
+                trace_->emit({limits.now,
+                              in ? trace::EventKind::RecoveryEnter
+                                 : trace::EventKind::RecoveryExit,
+                              0, pc, 0,
+                              in ? 0
+                                 : static_cast<std::uint32_t>(
+                                       limits.now -
+                                       recovery_enter_cycle_)});
+            }
         }
     }
+    // Stamped before the chain: if it retires nothing, step() runs an
+    // instruction (not an interrupt entry) on this same cycle.
+    if (trace_)
+        noteOwner(pc, owner);
 
     SuperblockEngine::ChainResult res =
         threaded_ ? threaded_->runChain(limits)
@@ -395,10 +440,10 @@ Machine::run()
             powerCycle();
             continue;
         }
-        // Block-stepped fast path: per-instruction observability
-        // (trace, profiler, metrics) needs the oracle.
-        if (superblock_ && !trace_ && !profiler_ && !metrics_ &&
-            trySuperblock())
+        // Chained fast path: per-instruction observers (profiler,
+        // metrics) need the oracle; an attached trace engine is
+        // gated per PC inside trySuperblock().
+        if (superblock_ && !profiler_ && !metrics_ && trySuperblock())
             continue;
         step();
     }

@@ -10,6 +10,15 @@
  * exact stat deltas of every executed instruction, so per-function
  * cycle attribution sums to Stats::totalCycles(). Both default to
  * nullptr and cost one branch per step when absent.
+ *
+ * A profiler or metrics collector forces single-step execution. An
+ * engine does so inside the runtime's copy loop, and everywhere when
+ * TraceEngine::outsideCopyMask() wants more than owner changes and
+ * power events (trace::kCatSwap | trace::kCatPower). A
+ * swap-timeline-only run therefore dispatches superblock chains
+ * everywhere but the copy loop, with owner-change, recovery, and
+ * checkpoint events emitted between chains on the cycles the oracle
+ * gives them.
  */
 
 #ifndef SWAPRAM_SIM_MACHINE_HH
@@ -85,9 +94,9 @@ class Machine
 
     /**
      * Attach run metrics (heatmap + histograms, recorded by the bus);
-     * nullptr detaches. Not owned. Like tracing and profiling, an
-     * attached collector forces single-step execution — the superblock
-     * fast path accounts accesses in bulk and would bypass per-access
+     * nullptr detaches. Not owned. Like profiling, an attached
+     * collector forces single-step execution — the superblock fast
+     * path accounts accesses in bulk and would bypass per-access
      * recording — while simulated results stay identical.
      */
     void setMetrics(metrics::RunMetrics *metrics)
@@ -113,6 +122,9 @@ class Machine
     {
         ckpt_commit_entry_ = commit_entry;
         ckpt_restore_entry_ = restore_entry;
+        // Observed chains stop at the probes: blocks start there.
+        if (superblock_)
+            superblock_->setProbePcs(commit_entry, restore_entry);
     }
 
     /** Exclude FRAM [base, end) from the livelock boot watermark.
@@ -176,13 +188,17 @@ class Machine
 
     /** step()/interrupt with observability hooks engaged. */
     void stepObserved(std::uint16_t pc, CodeOwner owner);
+    /** Emit OwnerChange when the instruction about to retire at @p pc
+     *  belongs to a different owner than the last one (trace_ set). */
+    void noteOwner(std::uint16_t pc, std::uint8_t owner);
     void interruptObserved(std::uint16_t pc);
 
     /**
      * Attempt a superblock dispatch at the current PC. Returns true if
      * at least one instruction retired; false means the caller must
-     * single-step (no block here, or a cycle boundary — fault, timer,
-     * max_cycles — could land inside the block's worst-case bound).
+     * single-step (no block here, a cycle boundary — fault, timer,
+     * max_cycles — could land inside the block's worst-case bound, or
+     * the attached trace engine needs the oracle at this PC).
      */
     bool trySuperblock();
 

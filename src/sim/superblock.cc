@@ -430,6 +430,7 @@ SuperblockEngine::build(std::uint16_t pc)
         const bool block_in_recovery =
             recovery_end_ && pc >= recovery_base_ &&
             static_cast<std::uint32_t>(pc) < recovery_end_;
+        b->owner = classify_ ? classify_(pc) : 0;
         std::uint32_t cur = pc;
         while (b->instrs.size() < kMaxBlockInstrs &&
                cur - pc < kMaxBlockBytes) {
@@ -438,6 +439,11 @@ SuperblockEngine::build(std::uint16_t pc)
                 cur < recovery_end_;
             if (in_recovery != block_in_recovery)
                 break; // recovery attribution boundary
+            const auto cur16 = static_cast<std::uint16_t>(cur);
+            if (cur != pc && (cur16 == probe_a_ || cur16 == probe_b_))
+                break; // checkpoint probe: only ever a block start
+            if (classify_ && classify_(cur16) != b->owner)
+                break; // code-owner boundary
             std::uint16_t w0 =
                 memory_.read16(static_cast<std::uint16_t>(cur));
             if (!isa::validLeadingWord(w0))
@@ -478,9 +484,6 @@ SuperblockEngine::build(std::uint16_t pc)
             bi.n_words = static_cast<std::uint8_t>(n_words);
             bi.base_cycles =
                 static_cast<std::uint8_t>(isa::baseCycles(instr));
-            bi.owner = classify_
-                           ? classify_(static_cast<std::uint16_t>(cur))
-                           : 0;
             bi.flags = a.flags;
             std::uint32_t prev_line = 0;
             for (int w = 0; w < n_words; ++w) {
@@ -572,6 +575,7 @@ SuperblockEngine::runChain(const ChainLimits &limits)
     std::uint64_t total = 0;
     bool first = true;
     bool chain_in_recovery = false;
+    std::uint8_t chain_owner = 0;
 
     for (;;) {
         const std::uint16_t pc = regs[0];
@@ -621,6 +625,14 @@ SuperblockEngine::runChain(const ChainLimits &limits)
             if (first)
                 chain_in_recovery = in;
             else if (in != chain_in_recovery)
+                break;
+        }
+        // Observed chains stop where the Machine owes an event.
+        if (limits.observed) {
+            if (first)
+                chain_owner = block->owner;
+            else if (block->owner != chain_owner ||
+                     pc == limits.probe_a || pc == limits.probe_b)
                 break;
         }
         first = false;
@@ -673,7 +685,6 @@ SuperblockEngine::runChain(const ChainLimits &limits)
             regs[0] = bi.next_pc;
             core.execute(bi.instr);
             acc.base += bi.base_cycles;
-            ++acc.owner[bi.owner];
             ++executed;
             if (mem.smc()) {
                 // The store already bumped the generations, so the
@@ -687,6 +698,7 @@ SuperblockEngine::runChain(const ChainLimits &limits)
         if (executed) {
             ++stats_.superblock_dispatches;
             total += executed;
+            acc.owner[block->owner] += executed;
         }
         if (executed < block->instrs.size())
             break; // bailed mid-block: the oracle decides what's next

@@ -11,7 +11,8 @@
  *     device space) — such instructions always run on the oracle;
  *   - a fetch that would leave the block's memory region (or a word
  *     that is not a decodable leading word, or a PC wrap);
- *   - crossing the boot-recovery attribution boundary;
+ *   - crossing the boot-recovery attribution boundary, a code-owner
+ *     boundary, or a checkpoint probe PC;
  *   - the size caps (kMaxBlockInstrs / kMaxBlockBytes).
  *
  * Execution replays, per instruction, exactly the accounting the
@@ -34,8 +35,10 @@
  *     bound could cross a fault-injection, timer-interrupt, or
  *     max-cycles boundary — it single-steps until past it — so faults
  *     and interrupts land on exactly the same cycle in both modes;
- *   - attached trace engines or profilers disable dispatch entirely
- *     (per-instruction observability wants the oracle).
+ *   - with a trace engine attached, chains also stop where the code
+ *     owner changes and at checkpoint probe PCs, so the Machine can
+ *     emit OwnerChange / checkpoint events between chains on the
+ *     oracle's cycles (profilers and metrics still disable dispatch).
  *
  * Invalidation piggybacks on the write paths that already feed the
  * predecode cache's 3-slot invalidation: every store bumps per-page
@@ -94,7 +97,6 @@ class SuperblockEngine
         std::uint16_t next_pc = 0;
         std::uint8_t n_words = 1;
         std::uint8_t base_cycles = 0;
-        std::uint8_t owner = 0; ///< CodeOwner of pc (static per range)
         std::uint8_t flags = 0;
         std::uint8_t code_words = 0; ///< fetch words inside .text
         /** FRAM fetch line-contention flags (static: the 2nd+ FRAM
@@ -112,6 +114,7 @@ class SuperblockEngine
         std::uint16_t start_pc = 0;
         std::uint32_t end_addr = 0; ///< one past the last code byte
         RegionKind fetch_region = RegionKind::Fram;
+        std::uint8_t owner = 0; ///< CodeOwner shared by every instr
         bool writes_sr = false;
         /** Upper bound on total cycles one execution can cost. */
         std::uint32_t worst_case_cycles = 0;
@@ -148,6 +151,16 @@ class SuperblockEngine
     {
         recovery_base_ = base;
         recovery_end_ = end;
+        invalidateAll();
+    }
+
+    /** Blocks may start at, but never run through, these PCs (the
+     *  checkpoint entry probes; 0 = none). */
+    void
+    setProbePcs(std::uint16_t a, std::uint16_t b)
+    {
+        probe_a_ = a;
+        probe_b_ = b;
         invalidateAll();
     }
 
@@ -198,6 +211,12 @@ class SuperblockEngine
         std::uint64_t timer_period = 0;
         std::uint64_t timer_fire = 0;
         bool timer_pending = false;
+        /** A trace engine is attached: stop before a block whose owner
+         *  differs from the entry block's, and before a block starting
+         *  at either probe PC (0 = none), so the Machine emits the
+         *  OwnerChange and checkpoint events between chains. */
+        bool observed = false;
+        std::uint16_t probe_a = 0, probe_b = 0;
     };
 
     struct ChainResult {
@@ -215,7 +234,8 @@ class SuperblockEngine
      * means the caller must single-step the oracle. Chains never cross
      * the recovery-range boundary (every block's cycles attribute the
      * same way); with a recovery range set, all retired cycles belong
-     * to the entry PC's side.
+     * to the entry PC's side. Observed chains (limits.observed) never
+     * cross an owner boundary either.
      */
     ChainResult runChain(const ChainLimits &limits);
 
@@ -235,6 +255,7 @@ class SuperblockEngine
 
     std::uint16_t recovery_base_ = 0;
     std::uint32_t recovery_end_ = 0; ///< 0 = no recovery range
+    std::uint16_t probe_a_ = 0, probe_b_ = 0; ///< 0 = no probe
 
     /** Direct-mapped block table, one slot per word-aligned PC. */
     std::vector<std::unique_ptr<Block>> blocks_;

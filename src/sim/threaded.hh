@@ -35,8 +35,9 @@
  *   - own-block SMC via the shared page-generation table (committed,
  *     then stop);
  *   - fault/timer/max-cycle worst-case-bound refusal before dispatch;
- *   - trace/profiler/metrics force the oracle entirely (Machine never
- *     calls this engine with observers attached).
+ *   - observed chains (a trace engine attached) stop at owner
+ *     boundaries and checkpoint probe PCs; profilers and metrics
+ *     force the oracle entirely.
  *
  * The tier requires the GNU computed-goto extension; without it the
  * Machine silently falls back to the superblock tier (available()).

@@ -101,6 +101,10 @@ class SwapTimeline : public Sink
     void event(const Event &event) override;
     void finish() override;
 
+    /** Bus accesses only matter inside a copy episode, which opens and
+     *  closes with owner changes into and out of the copy loop. */
+    std::uint32_t copyLoopOnly() const override { return kCatAccess; }
+
     const std::vector<SwapEvent> &events() const { return events_; }
     const std::vector<OccupancySample> &occupancy() const
     {

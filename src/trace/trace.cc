@@ -122,9 +122,12 @@ categoryNames(std::uint32_t mask)
 }
 
 TraceEngine::TraceEngine(std::uint32_t ring_mask, std::size_t capacity)
-    : ring_mask_(capacity ? ring_mask : 0), mask_(ring_mask_)
+    : ring_mask_(capacity ? ring_mask : 0), mask_(ring_mask_),
+      outside_mask_(ring_mask_)
 {
-    ring_.resize(capacity);
+    // A ring that records nothing needs no storage (the swap timeline
+    // attaches an engine to every observed sweep cell).
+    ring_.resize(ring_mask_ ? capacity : 0);
 }
 
 void
@@ -134,6 +137,7 @@ TraceEngine::addSink(Sink *sink, std::uint32_t mask)
         support::panic("TraceEngine::addSink: null sink");
     sinks_.push_back({sink, mask});
     mask_ |= mask;
+    outside_mask_ |= mask & ~sink->copyLoopOnly();
 }
 
 void

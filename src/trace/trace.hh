@@ -40,6 +40,14 @@ class Sink
 
     /** Called once when the producing run completes (flush point). */
     virtual void finish() {}
+
+    /**
+     * Categories of this sink's subscription it consumes only while
+     * the cache runtime's copy loop (sim::CodeOwner::Memcpy) runs.
+     * Producers may leave them out everywhere else, which lets the
+     * machine keep the rest of the run on its fast tiers.
+     */
+    virtual std::uint32_t copyLoopOnly() const { return kCatNone; }
 };
 
 /** Central event hub: bounded ring buffer + subscribed sinks. */
@@ -47,7 +55,8 @@ class TraceEngine
 {
   public:
     /** @p ring_mask selects what the ring records; @p capacity bounds
-     *  it (0 disables in-memory recording entirely). */
+     *  it (0 disables in-memory recording entirely, as does an empty
+     *  @p ring_mask; either way no ring storage is allocated). */
     explicit TraceEngine(std::uint32_t ring_mask = kCatAll,
                          std::size_t capacity = kDefaultCapacity);
 
@@ -65,6 +74,10 @@ class TraceEngine
 
     /** Union of ring and sink masks (0 = nothing to do). */
     std::uint32_t mask() const { return mask_; }
+
+    /** What somebody wants while the PC is outside the copy loop: the
+     *  mask without each sink's Sink::copyLoopOnly() categories. */
+    std::uint32_t outsideCopyMask() const { return outside_mask_; }
 
     /** Record @p event and deliver it to matching sinks. */
     void emit(const Event &event);
@@ -92,6 +105,7 @@ class TraceEngine
 
     std::uint32_t ring_mask_;
     std::uint32_t mask_;
+    std::uint32_t outside_mask_;
     std::vector<Event> ring_; ///< fixed-size circular storage
     std::size_t head_ = 0;    ///< next write slot
     std::size_t count_ = 0;   ///< valid entries (<= ring_.size())

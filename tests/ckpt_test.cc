@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <string>
@@ -56,6 +57,88 @@ TEST(HarvestTrace, ParsesCsvAndIntegratesEnergy)
     EXPECT_NEAR(trace.energyPj(1.0), 1.5e9, 1.0);
     EXPECT_NEAR(trace.energyPj(10.0), 1.5e9, 1.0);
     EXPECT_NEAR(trace.energyPj(0.25), 0.25e9, 1.0);
+}
+
+TEST(HarvestTrace, AcceptsHeaderOnlyAsFirstLine)
+{
+    auto trace = sim::HarvestTrace::parse(
+        "# columns below\n"
+        "time_s,power_w\n"
+        "0,1e-3\n"
+        "0.5,2e-3 # trailing comment\n",
+        "inline");
+    ASSERT_EQ(trace.points().size(), 2u);
+    EXPECT_DOUBLE_EQ(trace.points()[0].t_s, 0.0);
+    EXPECT_DOUBLE_EQ(trace.points()[0].watts, 1e-3);
+    EXPECT_DOUBLE_EQ(trace.points()[1].t_s, 0.5);
+
+    // A header after data, a second header, and a header-only trace.
+    EXPECT_THROW(sim::HarvestTrace::parse("0,1e-3\ntime_s,power_w\n"),
+                 support::FatalError);
+    EXPECT_THROW(sim::HarvestTrace::parse(
+                     "time_s,power_w\ntime_s,power_w\n0,1\n"),
+                 support::FatalError);
+    EXPECT_THROW(sim::HarvestTrace::parse("time_s,power_w\n"),
+                 support::FatalError);
+}
+
+TEST(HarvestTrace, RejectsMalformedFieldsNamingTheLine)
+{
+    struct Bad {
+        const char *csv;
+        int line; ///< the line the diagnostic must name
+    };
+    const Bad bad[] = {
+        {"0,nan\n", 1},            // non-finite power
+        {"inf,1e-3\n", 1},         // non-finite time
+        {"0,1e-3\n1,-inf\n", 2},
+        {"0,1e400\n", 1},          // overflows to infinity
+        {"time,power\n0,1\n", 1}, // some other header
+        {"0,1e-3x\n", 1},          // trailing junk
+        {"0 1,1e-3\n", 1},
+        {"0,\n", 1},               // empty field
+        {",1e-3\n", 1},
+        {"0,1e-3,2\n", 1},         // a third column
+        {"0;1e-3\n", 1},           // wrong separator
+    };
+    for (const Bad &b : bad) {
+        try {
+            sim::HarvestTrace::parse(b.csv, "t.csv");
+            ADD_FAILURE() << "accepted: " << b.csv;
+        } catch (const support::FatalError &e) {
+            std::string msg = e.what();
+            EXPECT_NE(msg.find("t.csv:" + std::to_string(b.line) + ":"),
+                      std::string::npos)
+                << msg;
+        }
+    }
+}
+
+TEST(HarvestTrace, CommittedExamplesParseToTheirDataLines)
+{
+    for (const char *name : {"steady_solar", "cloudy_solar", "bursty_rf",
+                             "dim_indoor"}) {
+        std::string path =
+            std::string(SWAPRAM_HARVEST_DIR) + "/" + name + ".csv";
+        sim::HarvestTrace trace = sim::HarvestTrace::load(path);
+        // Reference: every non-comment, non-blank line, read plainly.
+        std::ifstream in(path);
+        std::vector<sim::HarvestTrace::Point> want;
+        std::string line;
+        while (std::getline(in, line)) {
+            if (line.empty() || line[0] == '#')
+                continue;
+            std::size_t comma = line.find(',');
+            want.push_back({std::stod(line.substr(0, comma)),
+                            std::stod(line.substr(comma + 1))});
+        }
+        ASSERT_FALSE(want.empty()) << path;
+        ASSERT_EQ(trace.points().size(), want.size()) << path;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(trace.points()[i].t_s, want[i].t_s) << path;
+            EXPECT_EQ(trace.points()[i].watts, want[i].watts) << path;
+        }
+    }
 }
 
 TEST(HarvestTrace, RechargeTimeWalksTheProfile)

@@ -77,6 +77,34 @@ TEST(TraceEngine, MaskIsUnionOfRingAndSinks)
     EXPECT_TRUE(engine.ring().empty());
 }
 
+TEST(TraceEngine, OutsideCopyMaskDropsCopyLoopOnlyCategories)
+{
+    struct Null : trace::Sink {
+        void event(const trace::Event &) override {}
+    } sink;
+    trace::SwapTimeline timeline(0x2000, 0x2400);
+    const std::uint32_t timeline_mask =
+        trace::kCatSwap | trace::kCatAccess | trace::kCatPower;
+
+    // The timeline reads accesses only inside the copy loop, however
+    // the caller wired it. A ring that records nothing holds no
+    // storage.
+    trace::TraceEngine engine(trace::kCatNone);
+    EXPECT_EQ(engine.ringCapacity(), 0u);
+    engine.addSink(&timeline, timeline_mask);
+    EXPECT_EQ(engine.mask(), timeline_mask);
+    EXPECT_EQ(engine.outsideCopyMask(),
+              trace::kCatSwap | trace::kCatPower);
+
+    // Any other sink (or the ring) wanting accesses wants them
+    // everywhere.
+    engine.addSink(&sink, trace::kCatAccess);
+    EXPECT_EQ(engine.outsideCopyMask(), timeline_mask);
+    trace::TraceEngine ring(trace::kCatAccess, 16);
+    ring.addSink(&timeline, timeline_mask);
+    EXPECT_EQ(ring.outsideCopyMask(), timeline_mask);
+}
+
 TEST(TraceEngine, RingIsBoundedAndKeepsNewest)
 {
     trace::TraceEngine engine(trace::kCatAll, 4);
