@@ -49,6 +49,8 @@ struct Options {
         return static_cast<std::uint16_t>(
             (cache_end - cache_base) / slot_bytes);
     }
+
+    bool operator==(const Options &) const = default;
 };
 
 } // namespace swapram::bb

@@ -67,6 +67,8 @@ struct Options {
         platform::kSramEnd);
 
     bool enabled() const { return scheme != Scheme::None; }
+
+    bool operator==(const Options &) const = default;
 };
 
 /**

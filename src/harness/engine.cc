@@ -1,10 +1,15 @@
 #include "harness/engine.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <exception>
+#include <iterator>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "isa/opcodes.hh"
 #include "support/logging.hh"
@@ -30,18 +35,76 @@ warmSharedState()
     support::logLevel();        // resolves SWAPRAM_LOG once (atomic)
 }
 
-/** Execute one spec, capturing any failure into the outcome. */
+/**
+ * The runs of one batch that share BuildInputs. The first worker to
+ * reach the group builds its image under `built`; later members wait
+ * for that build and run on the same image. The last member to finish
+ * drops it, so images never outlive their group.
+ */
+struct ImageGroup {
+    BuildInputs inputs;
+    std::vector<std::size_t> members; ///< submission indices, in order
+
+    std::once_flag built;
+    std::shared_ptr<const BuiltImage> image; ///< null after a failed build
+    std::string error;                       ///< the build's error text
+    std::atomic<std::size_t> pending{0};     ///< members not yet finished
+};
+
+/** Execute @p spec on its group's image, building the image first if
+ *  this is the group's first run. A build error becomes every member's
+ *  error outcome, with the text runOne() would have thrown. */
 RunOutcome
-runCaptured(const RunSpec &spec)
+runInGroup(const RunSpec &spec, ImageGroup &group)
 {
+    std::call_once(group.built, [&] {
+        try {
+            group.image = buildImage(group.inputs);
+        } catch (const std::exception &e) {
+            group.error = e.what();
+        }
+    });
     RunOutcome out;
-    try {
-        out.metrics = runOne(spec);
-    } catch (const std::exception &e) {
+    if (!group.image) {
         out.error = true;
-        out.error_text = e.what();
+        out.error_text = group.error;
+    } else {
+        try {
+            out.metrics = runImage(spec, *group.image);
+        } catch (const std::exception &e) {
+            out.error = true;
+            out.error_text = e.what();
+        }
     }
+    // Every member's read of the image happens before its decrement,
+    // so the member that brings the count to zero is the last reader.
+    if (group.pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        group.image.reset();
     return out;
+}
+
+/** Group @p specs by build inputs, groups in order of first
+ *  appearance. The deque keeps each group at a fixed address. */
+std::deque<ImageGroup>
+groupByBuildInputs(const std::vector<RunSpec> &specs)
+{
+    std::deque<ImageGroup> groups;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        BuildInputs inputs = buildInputs(specs[i]);
+        auto it = std::find_if(groups.begin(), groups.end(),
+                               [&](const ImageGroup &g) {
+                                   return g.inputs == inputs;
+                               });
+        if (it == groups.end()) {
+            groups.emplace_back();
+            groups.back().inputs = std::move(inputs);
+            it = std::prev(groups.end());
+        }
+        it->members.push_back(i);
+    }
+    for (ImageGroup &g : groups)
+        g.pending.store(g.members.size(), std::memory_order_relaxed);
+    return groups;
 }
 
 /** Serializes progress callbacks and maintains the rolling counters.
@@ -107,6 +170,21 @@ Engine::runAll(const std::vector<RunSpec> &specs,
 
     ProgressReporter reporter(progress, specs.size());
 
+    // Tickets run group by group, so a group's members are taken
+    // back to back and at most about `jobs` images are alive at once.
+    std::deque<ImageGroup> groups = groupByBuildInputs(specs);
+    std::vector<std::pair<ImageGroup *, std::size_t>> tickets;
+    tickets.reserve(specs.size());
+    for (ImageGroup &g : groups) {
+        for (std::size_t i : g.members)
+            tickets.emplace_back(&g, i);
+    }
+    auto runTicket = [&](std::size_t t) {
+        auto [group, i] = tickets[t];
+        results[i] = runInGroup(specs[i], *group);
+        reporter.report(i, results[i]);
+    };
+
     unsigned workers = jobs_;
     if (workers > specs.size())
         workers = static_cast<unsigned>(specs.size());
@@ -115,10 +193,8 @@ Engine::runAll(const std::vector<RunSpec> &specs,
     // and debuggable — the deterministic reference the parallel path
     // is tested against.
     if (workers <= 1) {
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            results[i] = runCaptured(specs[i]);
-            reporter.report(i, results[i]);
-        }
+        for (std::size_t t = 0; t < tickets.size(); ++t)
+            runTicket(t);
         return results;
     }
 
@@ -130,11 +206,10 @@ Engine::runAll(const std::vector<RunSpec> &specs,
     std::atomic<std::size_t> next{0};
     auto worker = [&]() {
         for (;;) {
-            std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= specs.size())
+            std::size_t t = next.fetch_add(1, std::memory_order_relaxed);
+            if (t >= tickets.size())
                 return;
-            results[i] = runCaptured(specs[i]);
-            reporter.report(i, results[i]);
+            runTicket(t);
         }
     };
     std::vector<std::thread> pool;

@@ -4,10 +4,24 @@
  * pool of worker threads and return results in deterministic submission
  * order, regardless of completion order.
  *
+ * Build once per batch: specs are grouped by harness::BuildInputs, and
+ * each group's image is built once (by the first worker to reach the
+ * group) and dropped when the group's last run finishes. Tickets are
+ * handed out group by group, so at most about `jobs` images are alive
+ * at once, and no image outlives the batch.
+ *
  * Isolation contract (audited; see docs/INTERNALS.md §7):
- *  - Every run constructs its own Machine, TraceEngine, profiler, and
- *    timeline inside harness::runOne(); no simulation state is shared
+ *  - Runs of one group share one immutable BuiltImage, read-only.
+ *    Every run still constructs its own Machine (which copies the
+ *    image), TraceEngine, profiler, and timeline inside
+ *    harness::runImage(); no mutable simulation state is shared
  *    between concurrent runs.
+ *  - Workload pointers are part of the group key. That is sound only
+ *    because nothing persists across batches: every workload a batch
+ *    names is alive for the whole runAll() call, so two different
+ *    workloads cannot share an address within it.
+ *  - A failed build is captured once; every member of the group gets
+ *    the error text a fresh runOne() would have thrown.
  *  - The only process-global state the run path touches is read-only
  *    after first use (workloads::all(), the opcode mnemonic table) or
  *    atomic (the support::logging level). Lazily-initialized statics
@@ -19,9 +33,11 @@
  *    for plain (non-streaming) runs; stream one run at a time.
  *
  * Determinism: each run is a pure function of its RunSpec (the
- * simulator has no wall-clock or host-randomness inputs), results are
- * stored by submission index, and errors are captured per-run — so a
- * batch's outcome vector is byte-identical at any worker count.
+ * simulator has no wall-clock or host-randomness inputs, and equal
+ * BuildInputs build byte-identical images), results are stored by
+ * submission index, and errors are captured per-run — so a batch's
+ * outcome vector is byte-identical at any worker count. Progress
+ * callbacks follow the group-by-group execution order.
  */
 
 #ifndef SWAPRAM_HARNESS_ENGINE_HH

@@ -108,17 +108,24 @@ checkSection(const char *name, const masm::Range &range,
  * a run failure.
  */
 void
-verifySwapInvariants(const sim::Machine &machine,
-                     const masm::AssembleResult &assembled,
-                     const cache::FuncIds &funcs,
-                     const cache::Options &swap)
+verifySwapInvariants(const sim::Machine &machine, const BuiltImage &built)
 {
     auto sym = [&](const char *name) {
-        auto it = assembled.symbols.find(name);
-        if (it == assembled.symbols.end())
+        auto it = built.symbols.find(name);
+        if (it == built.symbols.end())
             support::panic("swap invariants: missing symbol ", name);
         return it->second;
     };
+    auto function =
+        [&](const std::string &name) -> const masm::FunctionInfo & {
+        for (const masm::FunctionInfo &f : built.functions) {
+            if (f.name == name)
+                return f;
+        }
+        support::panic("swap invariants: missing function ", name);
+    };
+    const cache::Options &swap = built.swap;
+    const cache::FuncIds &funcs = built.swap_funcs;
     const std::uint16_t redirect_t = sym("__swp_redirect");
     const std::uint16_t cached_t = sym("__swp_cached");
     const std::uint16_t active_t = sym("__swp_active");
@@ -132,7 +139,7 @@ verifySwapInvariants(const sim::Machine &machine,
     std::vector<std::pair<std::uint16_t, std::uint16_t>> resident;
     for (int id = 0; id < funcs.count(); ++id) {
         const std::string &name = funcs.names[id];
-        const masm::FunctionInfo &f = assembled.function(name);
+        const masm::FunctionInfo &f = function(name);
         auto cell = [&](std::uint16_t table) {
             return machine.peek16(
                 static_cast<std::uint16_t>(table + 2 * id));
@@ -203,25 +210,48 @@ verifySwapInvariants(const sim::Machine &machine,
     }
 }
 
+/** [base, end) as a Range (empty when end <= base). */
+masm::Range
+span(std::uint16_t base, std::uint16_t end)
+{
+    return {base, end > base ? static_cast<std::uint32_t>(end - base) : 0u};
+}
+
 } // namespace
 
-Metrics
-runOne(const RunSpec &spec)
+BuildInputs
+buildInputs(const RunSpec &spec)
 {
-    if (!spec.workload)
-        support::fatal("runOne: no workload");
-    Metrics m;
+    BuildInputs in;
+    in.workload = spec.workload;
+    in.system = spec.system;
+    in.placement = spec.placement;
+    in.sram_size = spec.sram_size;
+    in.main_repeats = spec.main_repeats;
+    in.include_lib = spec.include_lib;
+    in.swap = spec.swap;
+    in.block = spec.block;
+    return in;
+}
 
-    PlacementPlan plan = makePlacement(spec.placement);
+std::shared_ptr<const BuiltImage>
+buildImage(const BuildInputs &in)
+{
+    if (!in.workload)
+        support::fatal("buildImage: no workload");
+    auto built = std::make_shared<BuiltImage>();
+    built->inputs = in;
+    Metrics &m = built->sizes;
+
+    PlacementPlan plan = makePlacement(in.placement);
 
     // Crash consistency: the cache runtimes' startup stub calls their
     // generated recovery routine before main (harmless on the first
     // boot, essential after a power failure).
     std::string recover;
-    if (spec.system == System::SwapRam && spec.swap.boot_recovery)
+    if (in.system == System::SwapRam && in.swap.boot_recovery)
         recover = "__swp_recover";
-    else if (spec.system == System::BlockCache &&
-             spec.block.boot_recovery)
+    else if (in.system == System::BlockCache && in.block.boot_recovery)
         recover = "__bb_recover";
 
     // Checkpointing preconditions. The restore rolls back SRAM, the
@@ -231,14 +261,13 @@ runOne(const RunSpec &spec)
     // boot's stack frames). And the restore itself runs from the
     // recovery routine, so recovery must be on.
     const bool ckpt_on =
-        (spec.system == System::SwapRam && spec.swap.ckpt.enabled()) ||
-        (spec.system == System::BlockCache &&
-         spec.block.ckpt.enabled());
+        (in.system == System::SwapRam && in.swap.ckpt.enabled()) ||
+        (in.system == System::BlockCache && in.block.ckpt.enabled());
     if (ckpt_on) {
         if (!plan.stack_in_sram) {
             support::fatal("checkpointing requires the stack in "
                            "captured SRAM, but placement '",
-                           placementName(spec.placement),
+                           placementName(in.placement),
                            "' keeps it in FRAM (restore cannot roll a "
                            "live FRAM stack back)");
         }
@@ -255,27 +284,26 @@ runOne(const RunSpec &spec)
     if (plan.stack_in_sram &&
         plan.stack_top == static_cast<std::uint16_t>(plat::kSramEnd)) {
         plan.stack_top = static_cast<std::uint16_t>(plat::kSramBase +
-                                                    spec.sram_size);
+                                                    in.sram_size);
     }
 
-    std::string body = spec.workload->source;
-    if (spec.include_lib)
+    std::string body = in.workload->source;
+    if (in.include_lib)
         body += workloads::libSource();
     masm::Program program = masm::parse(
-        startupSource(plan.stack_top, spec.main_repeats, recover) +
-        body);
+        startupSource(plan.stack_top, in.main_repeats, recover) + body);
 
     // For the Split placement, size the data region first with a
     // baseline assembly, then carve the cache from the SRAM left over.
-    cache::Options swap = spec.swap;
-    bb::Options block = spec.block;
+    cache::Options swap = in.swap;
+    bb::Options block = in.block;
     std::uint16_t stack_top = plan.stack_top;
 
     // Capacity sweeps (ISSUE 7): re-anchor default cache bounds to the
     // selected SRAM size, and let workloads that use the data-swap API
     // supply their preferred pool size when the spec does not override.
-    const std::uint32_t sram_end = plat::kSramBase + spec.sram_size;
-    if (spec.sram_size != plat::kSramSize) {
+    const std::uint32_t sram_end = plat::kSramBase + in.sram_size;
+    if (in.sram_size != plat::kSramSize) {
         if (swap.cache_end == plat::kSramEnd)
             swap.cache_end = static_cast<std::uint16_t>(sram_end);
         if (block.cache_end == plat::kSramEnd)
@@ -285,8 +313,8 @@ runOne(const RunSpec &spec)
         if (block.ckpt.sram_end == plat::kSramEnd)
             block.ckpt.sram_end = static_cast<std::uint16_t>(sram_end);
     }
-    if (!swap.data_pool_bytes && spec.workload->data_pool_bytes)
-        swap.data_pool_bytes = spec.workload->data_pool_bytes;
+    if (!swap.data_pool_bytes && in.workload->data_pool_bytes)
+        swap.data_pool_bytes = in.workload->data_pool_bytes;
     if (swap.cache_end > sram_end || block.cache_end > sram_end) {
         support::fatal("cache region ends beyond the configured SRAM "
                        "end ", support::hex16(static_cast<std::uint16_t>(
@@ -298,32 +326,29 @@ runOne(const RunSpec &spec)
     // otherwise cached copies share addresses with data and the stack,
     // and ordinary stores corrupt resident code (the post-run invariant
     // walk catches exactly that).
-    const bool carve_standard =
-        spec.placement == Placement::Standard &&
-        spec.system != System::Baseline;
-    if (spec.placement == Placement::Split || carve_standard) {
+    const bool carve_standard = in.placement == Placement::Standard &&
+                                in.system != System::Baseline;
+    if (in.placement == Placement::Split || carve_standard) {
         // The probe is a plain baseline assembly, which does not
-        // define the recovery symbol; assemble without the call (a
-        // text-only difference, so the data/bss sizing is identical).
-        masm::Program probe_program =
-            recover.empty()
-                ? program
-                : masm::parse(startupSource(plan.stack_top,
-                                            spec.main_repeats) +
-                              body);
-        masm::AssembleResult probe =
-            masm::assemble(probe_program, plan.layout);
+        // define the recovery routine: predefine its symbol so the
+        // parsed program assembles as it is. The call is sized the same
+        // for any target, and both placements pin .data at the SRAM
+        // base, so .data/.bss come out exactly as in the final image.
+        masm::LayoutSpec probe_layout = plan.layout;
+        if (!recover.empty())
+            probe_layout.predefined[recover] = plan.layout.text_base;
+        masm::AssembleResult probe = masm::assemble(program, probe_layout);
         std::uint32_t bss_end = probe.image.bss.end();
         if (carve_standard) {
             // Standard keeps the stack at the SRAM top: the cache gets
             // the span between bss and the stack reservation.
             std::uint32_t base = (bss_end + 1) & ~1u;
             std::uint32_t end =
-                (sram_end - spec.workload->stack_bytes) & ~1u;
+                (sram_end - in.workload->stack_bytes) & ~1u;
             if (base + 64 > end) {
                 m.fits = false;
                 m.fit_note = "data+stack leave no SRAM for the cache";
-                return m;
+                return built;
             }
             swap.cache_base = static_cast<std::uint16_t>(base);
             swap.cache_end = static_cast<std::uint16_t>(end);
@@ -331,11 +356,11 @@ runOne(const RunSpec &spec)
             block.cache_end = static_cast<std::uint16_t>(end);
         } else {
             std::uint32_t top =
-                (bss_end + spec.workload->stack_bytes + 1) & ~1u;
+                (bss_end + in.workload->stack_bytes + 1) & ~1u;
             if (top >= sram_end) {
                 m.fits = false;
                 m.fit_note = "data+stack exceed SRAM";
-                return m;
+                return built;
             }
             stack_top = static_cast<std::uint16_t>(top);
             swap.cache_base = stack_top;
@@ -347,13 +372,7 @@ runOne(const RunSpec &spec)
 
     // Build under the selected system.
     masm::AssembleResult assembled;
-    std::uint16_t handler_base = 0, handler_end = 0;
-    std::uint16_t memcpy_base = 0, memcpy_end = 0;
-    std::uint16_t recover_base = 0, recover_end = 0;
-    std::uint16_t datapool_base = 0, datapool_end = 0;
-    std::uint16_t ckpt_base = 0, ckpt_end = 0;
-    cache::FuncIds swap_funcs; // kept for post-run invariant checks
-    switch (spec.system) {
+    switch (in.system) {
       case System::Baseline: {
         assembled = masm::assemble(program, plan.layout);
         m.app_text_bytes = assembled.image.text.size;
@@ -368,17 +387,12 @@ runOne(const RunSpec &spec)
         m.handler_bytes = info.handler_bytes;
         m.n_funcs = info.funcs.count();
         m.reloc_count = info.reloc_count;
-        handler_base = info.handler_addr;
-        handler_end = info.handler_end;
-        memcpy_base = info.memcpy_addr;
-        memcpy_end = info.memcpy_end;
-        recover_base = info.recover_addr;
-        recover_end = info.recover_end;
-        datapool_base = info.datapool_addr;
-        datapool_end = info.datapool_end;
-        ckpt_base = info.ckpt_addr;
-        ckpt_end = info.ckpt_end;
-        swap_funcs = info.funcs;
+        built->handler = span(info.handler_addr, info.handler_end);
+        built->copy = span(info.memcpy_addr, info.memcpy_end);
+        built->recover = span(info.recover_addr, info.recover_end);
+        built->datapool = span(info.datapool_addr, info.datapool_end);
+        built->ckpt = span(info.ckpt_addr, info.ckpt_end);
+        built->swap_funcs = std::move(info.funcs);
         break;
       }
       case System::BlockCache: {
@@ -388,25 +402,29 @@ runOne(const RunSpec &spec)
         m.runtime_bytes = info.runtime_bytes;
         m.metadata_bytes = info.metadata_bytes;
         m.n_funcs = info.n_blocks;
-        handler_base = info.runtime_addr;
-        handler_end = info.runtime_end;
-        memcpy_base = info.memcpy_addr;
-        memcpy_end = info.memcpy_end;
-        recover_base = info.recover_addr;
-        recover_end = info.recover_end;
-        ckpt_base = info.ckpt_addr;
-        ckpt_end = info.ckpt_end;
+        built->handler = span(info.runtime_addr, info.runtime_end);
+        built->copy = span(info.memcpy_addr, info.memcpy_end);
+        built->recover = span(info.recover_addr, info.recover_end);
+        built->ckpt = span(info.ckpt_addr, info.ckpt_end);
         break;
       }
     }
+    // The relaxed program and statement addresses stay behind: no run
+    // reads them.
+    built->image = std::move(assembled.image);
+    built->symbols = std::move(assembled.symbols);
+    built->functions = std::move(assembled.functions);
+    built->swap = swap;
+    built->block = block;
+    built->stack_top = stack_top;
 
-    const masm::Image &image = assembled.image;
+    const masm::Image &image = built->image;
     m.text_bytes = image.text.size;
     m.const_bytes = image.cnst.size;
     m.data_bytes = image.data.size;
     m.bss_bytes = image.bss.size;
     m.ram_bytes =
-        image.data.size + image.bss.size + spec.workload->stack_bytes;
+        image.data.size + image.bss.size + in.workload->stack_bytes;
 
     // Fit checks (the paper's DNF criterion).
     std::string note;
@@ -415,10 +433,10 @@ runOne(const RunSpec &spec)
     checkSection("data", image.data, sram_end, note);
     checkSection("bss", image.bss, sram_end, note);
     // Stack headroom.
-    if (plan.stack_in_sram && spec.placement != Placement::Split) {
+    if (plan.stack_in_sram && in.placement != Placement::Split) {
         std::uint32_t data_top = std::max(image.data.end(),
                                           image.bss.end());
-        std::uint32_t limit = stack_top - spec.workload->stack_bytes;
+        std::uint32_t limit = stack_top - in.workload->stack_bytes;
         if (inSram(image.data.base, sram_end) && data_top > limit)
             note += "no room for stack in SRAM; ";
     } else if (!plan.stack_in_sram) {
@@ -426,15 +444,26 @@ runOne(const RunSpec &spec)
                                           image.bss.end());
         if (!inSram(image.data.base, sram_end) &&
             data_top > static_cast<std::uint32_t>(
-                           stack_top - spec.workload->stack_bytes)) {
+                           stack_top - in.workload->stack_bytes)) {
             note += "no room for stack in FRAM; ";
         }
     }
     if (!note.empty()) {
         m.fits = false;
         m.fit_note = note;
-        return m;
     }
+    return built;
+}
+
+Metrics
+runImage(const RunSpec &spec, const BuiltImage &built)
+{
+    if (!(buildInputs(spec) == built.inputs))
+        support::panic("runImage: spec and image build inputs differ");
+    Metrics m = built.sizes;
+    if (!m.fits)
+        return m;
+    const masm::Image &image = built.image;
 
     // Execute.
     sim::MachineConfig config;
@@ -448,32 +477,32 @@ runOne(const RunSpec &spec)
     if (spec.intermittent.livelock_boots)
         config.livelock_boots = spec.intermittent.livelock_boots;
     sim::Machine machine(config);
-    machine.load(image, stack_top);
-    if (handler_end > handler_base) {
-        machine.addOwnerRange(handler_base, handler_end,
+    machine.load(image, built.stack_top);
+    if (built.handler.size) {
+        machine.addOwnerRange(built.handler.base, built.handler.end(),
                               sim::CodeOwner::Handler);
     }
-    if (memcpy_end > memcpy_base) {
-        machine.addOwnerRange(memcpy_base, memcpy_end,
+    if (built.copy.size) {
+        machine.addOwnerRange(built.copy.base, built.copy.end(),
                               sim::CodeOwner::Memcpy);
     }
-    if (datapool_end > datapool_base) {
+    if (built.datapool.size) {
         // __swp_din/__swp_dout count as runtime overhead, like the
         // miss handler they parallel (their copies still run under the
         // Memcpy owner).
-        machine.addOwnerRange(datapool_base, datapool_end,
+        machine.addOwnerRange(built.datapool.base, built.datapool.end(),
                               sim::CodeOwner::Handler);
     }
-    if (recover_end > recover_base)
-        machine.setRecoveryRange(recover_base, recover_end);
-    if (ckpt_end > ckpt_base) {
+    if (built.recover.size)
+        machine.setRecoveryRange(built.recover.base, built.recover.end());
+    if (built.ckpt.size) {
         // The checkpoint routines are runtime overhead like the miss
         // handler; probe their entry points for the trace stream.
-        machine.addOwnerRange(ckpt_base, ckpt_end,
+        machine.addOwnerRange(built.ckpt.base, built.ckpt.end(),
                               sim::CodeOwner::Handler);
         auto entry = [&](const char *name) -> std::uint16_t {
-            auto it = assembled.symbols.find(name);
-            return it == assembled.symbols.end() ? 0 : it->second;
+            auto it = built.symbols.find(name);
+            return it == built.symbols.end() ? 0 : it->second;
         };
         machine.setCkptProbe(entry("__ckpt_commit"),
                              entry("__ckpt_restore"));
@@ -486,8 +515,8 @@ runOne(const RunSpec &spec)
         // sealed buffer payloads still hash, so committing *new*
         // state resets the streak.
         auto skipCell = [&](const char *name, std::uint16_t bytes) {
-            auto it = assembled.symbols.find(name);
-            if (it != assembled.symbols.end())
+            auto it = built.symbols.find(name);
+            if (it != built.symbols.end())
                 machine.addWatermarkSkip(it->second,
                                          it->second + bytes);
         };
@@ -529,11 +558,10 @@ runOne(const RunSpec &spec)
     if (obs.any() || want_timeline) {
         engine = std::make_unique<trace::TraceEngine>(
             obs.categories, obs.ring_capacity);
-        index = std::make_unique<masm::FunctionIndex>(
-            assembled.functions);
+        index = std::make_unique<masm::FunctionIndex>(built.functions);
         if (obs.profile) {
             profiler = std::make_unique<trace::FunctionProfiler>();
-            for (const masm::FunctionInfo &f : assembled.functions)
+            for (const masm::FunctionInfo &f : built.functions)
                 profiler->addFunction(f.name, f.addr, f.size);
             profiler->seal();
             machine.setProfiler(profiler.get());
@@ -582,13 +610,15 @@ runOne(const RunSpec &spec)
             // derived events follow their triggers in the output.
             bool is_block = spec.system == System::BlockCache;
             timeline = std::make_unique<trace::SwapTimeline>(
-                is_block ? block.cache_base : swap.cache_base,
-                is_block ? block.cache_end : swap.cache_end);
-            for (const masm::FunctionInfo &f : assembled.functions)
+                is_block ? built.block.cache_base : built.swap.cache_base,
+                is_block ? built.block.cache_end : built.swap.cache_end);
+            for (const masm::FunctionInfo &f : built.functions)
                 timeline->addFunction(f.name, f.addr, f.size);
-            if (!is_block && swap.data_pool_bytes) {
-                timeline->setDataPool(swap.poolBase(), datapool_base,
-                                      datapool_end);
+            if (!is_block && built.swap.data_pool_bytes) {
+                timeline->setDataPool(built.swap.poolBase(),
+                                      built.datapool.base,
+                                      static_cast<std::uint16_t>(
+                                          built.datapool.end()));
             }
             timeline->setEngine(engine.get());
             if (profiler)
@@ -644,13 +674,13 @@ runOne(const RunSpec &spec)
         m.harvested_pj = injector.harvestedPj(cycles);
         m.wall_seconds = injector.wallSeconds(cycles);
     }
-    if (auto it = assembled.symbols.find("bench_result");
-        it != assembled.symbols.end()) {
+    if (auto it = built.symbols.find("bench_result");
+        it != built.symbols.end()) {
         m.checksum = machine.peek16(it->second);
     }
     auto counter = [&](const char *name) -> std::uint16_t {
-        auto it = assembled.symbols.find(name);
-        return it == assembled.symbols.end()
+        auto it = built.symbols.find(name);
+        return it == built.symbols.end()
                    ? 0
                    : machine.peek16(it->second);
     };
@@ -668,8 +698,8 @@ runOne(const RunSpec &spec)
         // recovery repaired any power failures (no-recovery intermittent
         // runs exist precisely to demonstrate the inconsistent state).
         if (result.done &&
-            (!spec.intermittent.enabled() || swap.boot_recovery)) {
-            verifySwapInvariants(machine, assembled, swap_funcs, swap);
+            (!spec.intermittent.enabled() || built.swap.boot_recovery)) {
+            verifySwapInvariants(machine, built);
         }
     }
 
@@ -683,14 +713,23 @@ runOne(const RunSpec &spec)
     return m;
 }
 
+Metrics
+runOne(const RunSpec &spec)
+{
+    return runImage(spec, *buildImage(buildInputs(spec)));
+}
+
 IntermittentCheck
 checkIntermittent(const RunSpec &spec)
 {
+    // The fault plan is run-only, so both runs share one image.
+    std::shared_ptr<const BuiltImage> image =
+        buildImage(buildInputs(spec));
     IntermittentCheck check;
     RunSpec quiet = spec;
     quiet.intermittent = IntermittentSpec{};
-    check.reference = runOne(quiet);
-    check.faulted = runOne(spec);
+    check.reference = runImage(quiet, *image);
+    check.faulted = runImage(spec, *image);
     return check;
 }
 

@@ -20,9 +20,11 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "blockcache/options.hh"
+#include "masm/assembler.hh"
 #include "metrics/run_metrics.hh"
 #include "harness/placement.hh"
 #include "sim/config.hh"
@@ -31,6 +33,7 @@
 #include "sim/machine.hh"
 #include "sim/stats.hh"
 #include "swapram/options.hh"
+#include "swapram/pass.hh"
 #include "trace/profile.hh"
 #include "trace/swap_timeline.hh"
 #include "trace/trace.hh"
@@ -237,7 +240,72 @@ struct Metrics {
 std::string startupSource(std::uint16_t stack_top, int repeats = 1,
                           const std::string &recover = "");
 
-/** Run one experiment. */
+/**
+ * The RunSpec fields an image is built from. Two specs with equal
+ * BuildInputs build byte-identical images; every other RunSpec field
+ * (clock, max_cycles, the execution tiers, observe, intermittent) acts
+ * only on the run. buildImage() takes nothing else, so the build cannot
+ * read a run-only field by accident.
+ */
+struct BuildInputs {
+    const workloads::Workload *workload = nullptr;
+    System system = System::Baseline;
+    Placement placement = Placement::Unified;
+    std::uint32_t sram_size = platform::kSramSize;
+    int main_repeats = 1;
+    bool include_lib = true;
+    cache::Options swap;
+    bb::Options block;
+
+    bool operator==(const BuildInputs &) const = default;
+};
+
+/** The build-relevant part of @p spec. */
+BuildInputs buildInputs(const RunSpec &spec);
+
+/**
+ * One assembled image plus everything the runner derives from it
+ * before execution. Immutable once built: any number of runs, on any
+ * threads, may execute the same BuiltImage, each on its own Machine.
+ */
+struct BuiltImage {
+    BuildInputs inputs; ///< what it was built from
+
+    masm::Image image;
+    std::unordered_map<std::string, std::uint16_t> symbols;
+    std::vector<masm::FunctionInfo> functions;
+
+    /** Effective cache options: bounds re-anchored to sram_size,
+     *  carved for Standard/Split, the workload's data pool applied. */
+    cache::Options swap;
+    bb::Options block;
+    std::uint16_t stack_top = 0;
+
+    // Runtime code ranges (empty when the system has none).
+    masm::Range handler;  ///< miss handler / block runtime (Handler)
+    masm::Range copy;     ///< the runtime's copy loop (Memcpy)
+    masm::Range recover;  ///< boot-recovery routine
+    masm::Range datapool; ///< __swp_din/__swp_dout (Handler)
+    masm::Range ckpt;     ///< checkpoint commit/restore (Handler)
+
+    /** SwapRAM function ids, for the post-run invariant walk. */
+    cache::FuncIds swap_funcs;
+
+    /** Static size fields and the fit verdict; every run of this
+     *  image starts from a copy. */
+    Metrics sizes;
+};
+
+/** Build phase: parse, instrument, lay out and assemble. Throws
+ *  support::FatalError on inputs that cannot build (a DNF is not an
+ *  error: it comes back as sizes.fits == false). */
+std::shared_ptr<const BuiltImage> buildImage(const BuildInputs &inputs);
+
+/** Run phase: execute @p spec on @p image, whose inputs must equal
+ *  buildInputs(spec). */
+Metrics runImage(const RunSpec &spec, const BuiltImage &image);
+
+/** Run one experiment: runImage(spec, *buildImage(buildInputs(spec))). */
 Metrics runOne(const RunSpec &spec);
 
 /** One intermittent run checked against its uninterrupted twin. */

@@ -135,6 +135,8 @@ struct Options {
         }
         return false;
     }
+
+    bool operator==(const Options &) const = default;
 };
 
 } // namespace swapram::cache

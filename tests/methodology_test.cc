@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "harness/runner.hh"
+#include "masm/assembler.hh"
+#include "masm/parser.hh"
 #include "workloads/workload.hh"
 
 namespace {
@@ -77,6 +79,57 @@ TEST(Methodology, StartupStubShapes)
     auto ten = harness::startupSource(0x3000, 10);
     EXPECT_NE(ten.find("__start_loop"), std::string::npos);
     EXPECT_NE(ten.find("#10, R10"), std::string::npos);
+}
+
+/** Standard and Split size .data/.bss with a baseline probe assembly
+ *  of the program the cache build will use, which calls a recovery
+ *  routine the probe does not define. The runner predefines that
+ *  symbol instead of re-parsing the source without the call; both
+ *  probes must place .data and .bss identically. */
+TEST(Methodology, RecoveryCallLeavesProbeDataLayoutUnchanged)
+{
+    std::vector<const workloads::Workload *> wls;
+    for (const workloads::Workload &w : workloads::all())
+        wls.push_back(&w);
+    for (const workloads::Workload &w : workloads::capacity())
+        wls.push_back(&w);
+    int cases = 0;
+    for (const workloads::Workload *w : wls) {
+        const std::string body = w->source + workloads::libSource();
+        for (harness::Placement placement :
+             {harness::Placement::Standard, harness::Placement::Split}) {
+            const harness::PlacementPlan plan =
+                harness::makePlacement(placement);
+            for (int repeats : {1, 60}) {
+                masm::AssembleResult reparsed = masm::assemble(
+                    masm::parse(harness::startupSource(plan.stack_top,
+                                                       repeats) +
+                                body),
+                    plan.layout);
+                for (const char *recover :
+                     {"__swp_recover", "__bb_recover"}) {
+                    masm::LayoutSpec layout = plan.layout;
+                    layout.predefined[recover] = plan.layout.text_base;
+                    masm::AssembleResult probe = masm::assemble(
+                        masm::parse(harness::startupSource(
+                                        plan.stack_top, repeats, recover) +
+                                    body),
+                        layout);
+                    const std::string where =
+                        w->name + "/" + harness::placementName(placement) +
+                        "/" + recover + "/x" + std::to_string(repeats);
+                    EXPECT_EQ(probe.image.data.base,
+                              reparsed.image.data.base)
+                        << where;
+                    EXPECT_EQ(probe.image.bss.end(),
+                              reparsed.image.bss.end())
+                        << where;
+                    ++cases;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cases, 104);
 }
 
 } // namespace

@@ -127,8 +127,14 @@
  *                            tree's tests/golden/expectations.json)
  */
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <type_traits>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -190,7 +196,7 @@ struct Args {
     std::vector<std::string> harvest_traces; ///< --harvest-trace files
     std::string ckpt_schemes;     ///< --ckpt-scheme comma list
     int ckpt_period = 0;          ///< --ckpt-period (0 = default 64)
-    std::uint32_t ckpt_threshold = 0; ///< --ckpt-threshold (0 = default)
+    std::uint16_t ckpt_threshold = 0; ///< --ckpt-threshold (0 = default)
     std::uint32_t livelock_boots = 0; ///< --livelock-boots (0 = default)
     double cap_capacity_uj = 0;   ///< --cap-capacity (0 = default 100)
     double cap_power_on_uj = 0;   ///< --cap-power-on (0 = default 60)
@@ -233,6 +239,39 @@ usage()
         "         --livelock-boots N   --cap-capacity UJ\n"
         "         --cap-power-on UJ --cap-brown-out UJ --cap-leak UW\n");
     std::exit(2);
+}
+
+/**
+ * The value of numeric flag @p flag: @p text must be a number as a
+ * whole (no sign, no trailing characters), finite, and within T's
+ * range. @p base 0 also accepts 0x-prefixed hex. Anything else is a
+ * FatalError naming the flag, never a silent truncation.
+ */
+template <typename T>
+T
+parseNumber(const char *flag, const std::string &text, int base = 10)
+{
+    const char *begin = text.c_str();
+    char *end = nullptr;
+    errno = 0;
+    bool ok = !text.empty() &&
+              (std::isdigit(static_cast<unsigned char>(text[0])) ||
+               (std::is_floating_point_v<T> && text[0] == '.'));
+    if constexpr (std::is_floating_point_v<T>) {
+        double v = ok ? std::strtod(begin, &end) : 0;
+        if (ok && *end == '\0' && errno == 0 && std::isfinite(v))
+            return static_cast<T>(v);
+    } else {
+        unsigned long long v = ok ? std::strtoull(begin, &end, base) : 0;
+        if (ok && *end == '\0' && errno == 0 &&
+            v <= static_cast<unsigned long long>(
+                     std::numeric_limits<T>::max()))
+            return static_cast<T>(v);
+    }
+    support::fatal(flag, ": '", text, "' is not a ",
+                   std::is_floating_point_v<T> ? "finite number"
+                                               : "number",
+                   " in range");
 }
 
 Args
@@ -281,31 +320,41 @@ parseArgs(int argc, char **argv)
             else
                 usage();
         } else if (a == "--clock") {
-            args.clock_hz = static_cast<std::uint32_t>(
-                                std::stoul(next())) *
-                            1'000'000u;
+            auto mhz = parseNumber<std::uint32_t>("--clock", next());
+            if (mhz == 0 ||
+                mhz > std::numeric_limits<std::uint32_t>::max() /
+                          1'000'000u) {
+                support::fatal("--clock: ", mhz,
+                               " MHz is not a positive clock in range");
+            }
+            args.clock_hz = mhz * 1'000'000u;
         } else if (a == "--cache-base") {
-            args.swap.cache_base = static_cast<std::uint16_t>(
-                std::stoul(next(), nullptr, 0));
+            args.swap.cache_base =
+                parseNumber<std::uint16_t>("--cache-base", next(), 0);
             args.block.cache_base = args.swap.cache_base;
         } else if (a == "--cache-end") {
-            args.swap.cache_end = static_cast<std::uint16_t>(
-                std::stoul(next(), nullptr, 0));
+            args.swap.cache_end =
+                parseNumber<std::uint16_t>("--cache-end", next(), 0);
             args.block.cache_end = args.swap.cache_end;
         } else if (a == "--sram-size") {
-            args.sram_size = static_cast<std::uint32_t>(
-                std::stoul(next(), nullptr, 0));
+            args.sram_size =
+                parseNumber<std::uint32_t>("--sram-size", next(), 0);
         } else if (a == "--no-evict") {
             args.swap.evict = false;
         } else if (a == "--data-pool") {
-            args.swap.data_pool_bytes = static_cast<std::uint16_t>(
-                std::stoul(next(), nullptr, 0));
+            args.swap.data_pool_bytes =
+                parseNumber<std::uint16_t>("--data-pool", next(), 0);
         } else if (a == "--capacity") {
             args.capacity = true;
         } else if (a == "--policy") {
-            args.swap.policy = next() == "stack"
-                                   ? cache::Policy::Stack
-                                   : cache::Policy::CircularQueue;
+            std::string v = next();
+            if (v == "queue")
+                args.swap.policy = cache::Policy::CircularQueue;
+            else if (v == "stack")
+                args.swap.policy = cache::Policy::Stack;
+            else
+                support::fatal("--policy: '", v,
+                               "' is not queue or stack");
         } else if (a == "--blacklist") {
             args.swap.blacklist = support::split(next(), ',');
         } else if (a == "--func") {
@@ -327,9 +376,11 @@ parseArgs(int argc, char **argv)
         } else if (a == "--trace-format") {
             args.trace_format = next();
         } else if (a == "--trace-limit") {
-            args.trace_limit = std::stoull(next());
+            args.trace_limit =
+                parseNumber<std::uint64_t>("--trace-limit", next());
         } else if (a == "--ring-capacity") {
-            args.ring_capacity = std::stoull(next());
+            args.ring_capacity =
+                parseNumber<std::size_t>("--ring-capacity", next());
         } else if (a == "--metrics") {
             args.metrics = true;
         } else if (a == "--progress") {
@@ -340,13 +391,14 @@ parseArgs(int argc, char **argv)
             args.heat_csv = next();
         } else if (a == "--fault-periods") {
             for (const std::string &p : support::split(next(), ','))
-                args.fault_periods.push_back(std::stoull(p, nullptr, 0));
+                args.fault_periods.push_back(
+                    parseNumber<std::uint64_t>("--fault-periods", p, 0));
         } else if (a == "--fault-count") {
             args.fault_count =
-                static_cast<std::uint32_t>(std::stoul(next()));
+                parseNumber<std::uint32_t>("--fault-count", next());
         } else if (a == "--fault-seed") {
-            args.fault_seed = static_cast<std::uint32_t>(
-                std::stoul(next(), nullptr, 0));
+            args.fault_seed =
+                parseNumber<std::uint32_t>("--fault-seed", next(), 0);
         } else if (a == "--no-recovery") {
             args.no_recovery = true;
         } else if (a == "--harvest-trace") {
@@ -356,24 +408,23 @@ parseArgs(int argc, char **argv)
             args.ckpt_schemes = next();
         } else if (a == "--ckpt-period") {
             args.ckpt_period =
-                static_cast<int>(std::stoul(next(), nullptr, 0));
+                parseNumber<int>("--ckpt-period", next(), 0);
         } else if (a == "--ckpt-threshold") {
-            args.ckpt_threshold = static_cast<std::uint32_t>(
-                std::stoul(next(), nullptr, 0));
+            args.ckpt_threshold =
+                parseNumber<std::uint16_t>("--ckpt-threshold", next(), 0);
         } else if (a == "--livelock-boots") {
             args.livelock_boots =
-                static_cast<std::uint32_t>(std::stoul(next()));
+                parseNumber<std::uint32_t>("--livelock-boots", next());
         } else if (a == "--cap-capacity") {
-            args.cap_capacity_uj = std::stod(next());
+            args.cap_capacity_uj = parseNumber<double>("--cap-capacity", next());
         } else if (a == "--cap-power-on") {
-            args.cap_power_on_uj = std::stod(next());
+            args.cap_power_on_uj = parseNumber<double>("--cap-power-on", next());
         } else if (a == "--cap-brown-out") {
-            args.cap_brown_out_uj = std::stod(next());
+            args.cap_brown_out_uj = parseNumber<double>("--cap-brown-out", next());
         } else if (a == "--cap-leak") {
-            args.cap_leak_uw = std::stod(next());
+            args.cap_leak_uw = parseNumber<double>("--cap-leak", next());
         } else if (a == "--jobs") {
-            args.jobs =
-                static_cast<unsigned>(std::stoul(next()));
+            args.jobs = parseNumber<unsigned>("--jobs", next());
         } else if (a == "--systems") {
             args.systems = next();
         } else if (a == "--update-golden") {
@@ -385,7 +436,8 @@ parseArgs(int argc, char **argv)
                           "--trace-categories instr --trace-limit N "
                           "--disasm");
             args.trace_categories |= trace::kCatInstr;
-            args.trace_limit = std::stoull(next());
+            args.trace_limit =
+                parseNumber<std::uint64_t>("--trace", next());
             args.disasm = true;
         } else if (!a.empty() && a[0] != '-') {
             args.file = a;
@@ -779,10 +831,8 @@ applyCkptScheme(harness::RunSpec &spec, ckpt::Scheme scheme,
         o->scheme = scheme;
         if (args.ckpt_period)
             o->period = args.ckpt_period;
-        if (args.ckpt_threshold) {
-            o->low_threshold =
-                static_cast<std::uint16_t>(args.ckpt_threshold);
-        }
+        if (args.ckpt_threshold)
+            o->low_threshold = args.ckpt_threshold;
     }
 }
 
