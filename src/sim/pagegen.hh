@@ -9,6 +9,14 @@
  * SwapRAM copy-ins, self-modifying stores, or plain data writes that
  * share a page with code — and is rebuilt before dispatch.
  *
+ * Pages that hold built code are flagged (markCode(), at block build),
+ * and a store into a flagged page also advances one code-write epoch.
+ * A block snapshots the epoch too: while it is unchanged, no store has
+ * touched any code page since, so the block's page generations cannot
+ * have moved either and validation is one compare. Stores into data
+ * pages never move the epoch. Flags are never cleared; a stale flag
+ * only costs the per-page fallback compare.
+ *
  * This piggybacks on the same write paths that drive the predecode
  * cache's 3-slot invalidation: the Bus calls noteWrite() for oracle
  * accesses, the superblock fast path calls it for direct stores, and
@@ -48,19 +56,30 @@ class PageGenTable
         std::uint16_t last =
             pageOf(static_cast<std::uint16_t>(addr + bytes - 1));
         ++gen_[first];
-        if (last != first)
+        std::uint8_t code = code_[first];
+        if (last != first) {
             ++gen_[last];
+            code |= code_[last];
+        }
+        epoch_ += code;
     }
+
+    /** Built code now spans @p page: stores into it move the epoch. */
+    void markCode(std::uint16_t page) { code_[page] = 1; }
 
     /** Memory changed wholesale behind the bus (load, power cycle). */
     void bumpAll() { ++global_; }
 
     std::uint64_t globalGen() const { return global_; }
     std::uint64_t pageGen(std::uint16_t page) const { return gen_[page]; }
+    /** Stores into code pages so far. */
+    std::uint64_t codeEpoch() const { return epoch_; }
 
   private:
     std::array<std::uint64_t, kPages> gen_{};
+    std::array<std::uint8_t, kPages> code_{};
     std::uint64_t global_ = 0;
+    std::uint64_t epoch_ = 0;
 };
 
 } // namespace swapram::sim

@@ -517,20 +517,26 @@ SuperblockEngine::build(std::uint16_t pc)
     b->first_page = PageGenTable::pageOf(pc);
     b->last_page = PageGenTable::pageOf(static_cast<std::uint16_t>(
         b->end_addr > pc ? b->end_addr - 1 : pc));
+    // Tombstones flag their page too: a copy-in there must still move
+    // the epoch so the PC gets a real block.
     for (std::uint32_t i = 0;
          i <= static_cast<std::uint32_t>(b->last_page - b->first_page);
          ++i) {
-        b->page_gens[i] = gens_.pageGen(
-            static_cast<std::uint16_t>(b->first_page + i));
+        const auto page = static_cast<std::uint16_t>(b->first_page + i);
+        gens_.markCode(page);
+        b->page_gens[i] = gens_.pageGen(page);
     }
+    b->code_epoch = gens_.codeEpoch();
     return b;
 }
 
 bool
-SuperblockEngine::valid(const Block &b) const
+SuperblockEngine::valid(Block &b)
 {
     if (b.global_gen != gens_.globalGen())
         return false;
+    if (b.code_epoch == gens_.codeEpoch())
+        return true;
     for (std::uint32_t i = 0;
          i <= static_cast<std::uint32_t>(b.last_page - b.first_page);
          ++i) {
@@ -538,6 +544,8 @@ SuperblockEngine::valid(const Block &b) const
             gens_.pageGen(static_cast<std::uint16_t>(b.first_page + i)))
             return false;
     }
+    // Some other code page was written; this block's pages were not.
+    b.code_epoch = gens_.codeEpoch();
     return true;
 }
 
@@ -551,6 +559,7 @@ SuperblockEngine::lookup(std::uint16_t pc)
         if (valid(*slot))
             return slot->instrs.empty() ? nullptr : slot.get();
         ++stats_.superblock_invalidations;
+        ++replacements_;
     }
     slot = build(pc);
     if (slot->instrs.empty())

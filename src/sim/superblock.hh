@@ -43,6 +43,9 @@
  * Invalidation piggybacks on the write paths that already feed the
  * predecode cache's 3-slot invalidation: every store bumps per-page
  * write generations (PageGenTable) which blocks validate at lookup.
+ * Stores into pages holding built code also advance a code-write
+ * epoch; a block whose epoch snapshot still matches is valid after one
+ * compare, and only an epoch mismatch walks its page generations.
  */
 
 #ifndef SWAPRAM_SIM_SUPERBLOCK_HH
@@ -120,8 +123,10 @@ class SuperblockEngine
         std::uint32_t worst_case_cycles = 0;
         std::vector<BlockInstr> instrs;
 
-        // Invalidation snapshot.
+        // Invalidation snapshot. code_epoch is refreshed whenever a
+        // per-page check passes, so one compare usually decides.
         std::uint64_t global_gen = 0;
+        std::uint64_t code_epoch = 0;
         std::uint16_t first_page = 0;
         std::uint16_t last_page = 0;
         std::array<std::uint64_t, kMaxBlockPages> page_gens{};
@@ -180,6 +185,15 @@ class SuperblockEngine
      * tier can attach lowered code to the block.
      */
     Block *lookup(std::uint16_t pc);
+
+    /** True when @p b's code is unchanged since it was built (a block
+     *  that lookup() once returned, revalidated without the table). */
+    bool valid(Block &b);
+
+    /** Occupied slots lookup() has rebuilt so far. A Block pointer
+     *  obtained when this read N stays live while it still reads N —
+     *  the threaded tier tags its successor links with it. */
+    std::uint64_t replacements() const { return replacements_; }
 
     /** True when @p addr lies in plain memory (SRAM or FRAM) — the
      *  only space the fast paths may touch directly. */
@@ -241,7 +255,6 @@ class SuperblockEngine
 
   private:
     std::unique_ptr<Block> build(std::uint16_t pc);
-    bool valid(const Block &b) const;
 
     Cpu &cpu_;
     Memory &memory_;
@@ -259,6 +272,7 @@ class SuperblockEngine
 
     /** Direct-mapped block table, one slot per word-aligned PC. */
     std::vector<std::unique_ptr<Block>> blocks_;
+    std::uint64_t replacements_ = 0;
 };
 
 } // namespace swapram::sim

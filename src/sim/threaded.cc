@@ -64,8 +64,9 @@ static_assert(sizeof(TOp) == 64, "TOp must stay one cache line");
 
 /** Accumulator indices: one contiguous order shared by the dispatch
  *  context's dynamic accumulators (u64) and each block's static totals
- *  (u32), so block entry applies the totals with one vectorizable
- *  loop. */
+ *  (u32), so the chain-end sweep applies runs × totals with one
+ *  vectorizable loop per lowered block. Base and stall come first: they
+ *  are the only slots added at block entry. */
 enum AccIdx {
     kAccBase = 0,
     kAccStall,
@@ -96,18 +97,55 @@ struct TDelta {
 };
 
 /** Lowered form of one superblock: the op array (with a trailing
- *  block-end sentinel) and the block's static accounting totals,
- *  applied in one shot at block entry. */
+ *  block-end sentinel), the block's static accounting totals, its entry
+ *  count in the current chain, and its successor links. */
 class ThreadedCode
 {
   public:
     std::vector<TOp> ops;
     std::vector<TDelta> deltas;
+    std::uint32_t n = 0; ///< instructions (ops minus the sentinel)
     bool fram_code = false;
     std::uint8_t owner = 0; ///< the block's CodeOwner
+    /** Entries in the running chain; the chain end applies runs × tot
+     *  for every slot past kAccStall, then clears it. */
+    std::uint64_t runs = 0;
     /** Static block totals, indexed by AccIdx (the fetch count is
      *  already in the fram/sram slot matching fetch_region). */
     alignas(32) std::array<std::uint32_t, kNumAcc> tot{};
+
+    /** The block last entered from this one at @p pc, if no block slot
+     *  has been rebuilt since (@p tag = replacements()), else null. */
+    SuperblockEngine::Block *
+    follow(std::uint16_t pc, std::uint64_t tag) const
+    {
+        for (const Link &l : links) {
+            if (l.pc == pc && l.tag == tag)
+                return l.block;
+        }
+        return nullptr;
+    }
+
+    /** Remember @p block as this block's successor at @p pc. */
+    void
+    link(std::uint16_t pc, SuperblockEngine::Block *block,
+         std::uint64_t tag)
+    {
+        if (links[0].pc != pc)
+            links[1] = links[0];
+        links[0] = {tag, block, pc};
+    }
+
+  private:
+    /** A successor: the slot-replacement count it was made under,
+     *  the block, and its start PC (the two exits of a conditional
+     *  jump fit). */
+    struct Link {
+        std::uint64_t tag = UINT64_MAX; ///< never matches: empty
+        SuperblockEngine::Block *block = nullptr;
+        std::uint16_t pc = 0;
+    };
+    std::array<Link, 2> links{};
 };
 
 namespace {
@@ -148,8 +186,10 @@ struct DCtx {
     PageGenTable *gens = nullptr;
 
     // Dynamic accumulators (AccIdx order), flushed to Stats once per
-    // chain. The static per-block totals are added here at block entry
-    // too, so a bail-out only has to subtract the unexecuted suffix.
+    // chain. Each block entry adds its static base and stall cycles
+    // (the boundary guards read them); the chain end adds runs × the
+    // other static totals. A bail-out subtracts the unexecuted suffix
+    // from every slot (u64 wraparound keeps the sums exact).
     alignas(32) std::array<std::uint64_t, kNumAcc> acc{};
 
     // Timing-model constants.
@@ -173,9 +213,8 @@ struct DCtx {
     const SuperblockEngine::ChainLimits *limits = nullptr;
     ThreadedCode *cur_tc = nullptr; ///< dispatched block's lowered code
     TOp *cur_ops = nullptr;
-    std::size_t cur_n = 0;
-    std::uint64_t total = 0;      ///< retired instructions this chain
-    std::uint64_t dispatches = 0; ///< blocks with progress this chain
+    std::uint64_t total = 0;      ///< bail-out corrections to runs × n
+    std::uint64_t dispatches = 0; ///< ditto, to the chain's entries
     bool first = true;
     bool chain_in_recovery = false;
     std::uint8_t chain_owner = 0; ///< entry block's owner (observed)
@@ -922,6 +961,7 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
     tc->owner = block.owner;
 
     const std::size_t n = block.instrs.size();
+    tc->n = static_cast<std::uint32_t>(n);
     // Sized once up front: ops never reallocate afterwards, so an
     // immediate's source cell may point into its own TOp.
     tc->ops.resize(n + 1);
@@ -1228,18 +1268,19 @@ ThreadedEngine::advanceChain(void *p)
     DCtx &st = *static_cast<DCtx *>(p);
     const SuperblockEngine::ChainLimits &limits = *st.limits;
 
-    // Account the block that just ran to completion (mid-block
-    // bail-outs are accounted by runChain's suffix walk instead).
-    if (st.cur_tc) {
-        ++st.dispatches;
-        st.total += st.cur_n;
-        st.cur_tc = nullptr;
-    }
-
+    // The next block: the last block's successor link when it is still
+    // live and valid, else the block table (which relinks it).
     const std::uint16_t pc = st.regs[0];
-    SuperblockEngine::Block *block = sb_.lookup(pc);
-    if (!block)
-        return nullptr;
+    ThreadedCode *prev = st.cur_tc;
+    SuperblockEngine::Block *block =
+        prev ? prev->follow(pc, sb_.replacements()) : nullptr;
+    if (!block || !sb_.valid(*block)) {
+        block = sb_.lookup(pc);
+        if (!block)
+            return nullptr;
+        if (prev)
+            prev->link(pc, block, sb_.replacements());
+    }
 
     // Same boundary discipline as the superblock tier: a block only
     // runs when its worst-case cycle bound provably keeps every
@@ -1288,13 +1329,13 @@ ThreadedEngine::advanceChain(void *p)
         lower(*block);
     ThreadedCode &tc = *block->threaded;
 
-    // Static totals up front; a bail-out subtracts the suffix.
-    // One vectorizable pass: both sides share AccIdx order, and the
-    // fetch count was routed to the right region slot at lowering.
-    const std::uint32_t *tot = tc.tot.data();
-    std::uint64_t *acc = st.acc.data();
-    for (int i = 0; i < kNumAcc; ++i)
-        acc[i] += tot[i];
+    // Only the cycles the guards read are applied now; the chain end
+    // applies runs × the rest. The first entry in this chain pins the
+    // code, so a rebuild of its block mid-chain cannot free it.
+    st.acc[kAccBase] += tc.tot[kAccBase];
+    st.acc[kAccStall] += tc.tot[kAccStall];
+    if (tc.runs++ == 0)
+        chain_codes_.push_back(block->threaded);
 
     st.blk_start = block->start_pc;
     st.blk_end = block->end_addr;
@@ -1302,13 +1343,17 @@ ThreadedEngine::advanceChain(void *p)
     st.instrs = block->instrs.data();
     st.cur_tc = &tc;
     st.cur_ops = tc.ops.data();
-    st.cur_n = block->instrs.size();
     return st.cur_ops;
 }
 
 SuperblockEngine::ChainResult
 ThreadedEngine::runChain(const SuperblockEngine::ChainLimits &limits)
 {
+    // A chain that ended in a thrown fatal left its entry counts.
+    for (const std::shared_ptr<ThreadedCode> &code : chain_codes_)
+        code->runs = 0;
+    chain_codes_.clear();
+
     DCtx st;
     st.regs_arr = &cpu_.regs();
     st.regs = cpu_.regs().data();
@@ -1336,9 +1381,10 @@ ThreadedEngine::runChain(const SuperblockEngine::ChainLimits &limits)
             break; // chain ended at a block boundary (advanceChain)
 
         // Mid-block bail-out (dyn operand or own-block SMC): subtract
-        // the unexecuted suffix and account what retired.
+        // the unexecuted suffix from what the entry and the chain-end
+        // sweep count for a whole run of this block.
         ThreadedCode &tc = *st.cur_tc;
-        const std::size_t n = st.cur_n;
+        const std::size_t n = tc.n;
         const std::size_t idx =
             static_cast<std::size_t>(st.bail_op - st.cur_ops);
         const std::size_t executed = st.bail_kind == 2 ? idx + 1 : idx;
@@ -1362,16 +1408,14 @@ ThreadedEngine::runChain(const SuperblockEngine::ChainLimits &limits)
                 st.acc[kAccPreInval] -= t.d_pre;
             }
             st.acc[kAccOwner0 + tc.owner] -= n - executed;
+            st.total -= n - executed;
         }
         if (st.bail_kind == 1)
             ++stats_.threaded_bail_operand;
         else
             ++stats_.threaded_bail_smc;
-        if (executed) {
-            ++st.dispatches;
-            st.total += executed;
-        }
-        st.cur_tc = nullptr; // accounted here, not by advanceChain
+        if (!executed)
+            --st.dispatches; // no progress: not a dispatch
         if (executed < n)
             break; // bailed mid-block: the oracle decides what's next
         // Committed own-block SMC on the block's last instruction:
@@ -1379,6 +1423,19 @@ ThreadedEngine::runChain(const SuperblockEngine::ChainLimits &limits)
         // lookup sees the bumped generations and rebuilds).
         op0 = static_cast<TOp *>(advanceChain(&st));
     }
+
+    // Per-chain accounting: every lowered block that ran adds its
+    // static totals once per entry.
+    for (const std::shared_ptr<ThreadedCode> &code : chain_codes_) {
+        ThreadedCode &tc = *code;
+        const std::uint64_t runs = tc.runs;
+        for (int i = kAccStall + 1; i < kNumAcc; ++i)
+            st.acc[i] += runs * tc.tot[i];
+        st.total += runs * tc.n;
+        st.dispatches += runs;
+        tc.runs = 0;
+    }
+    chain_codes_.clear();
 
     const std::uint64_t total = st.total;
     stats_.threaded_dispatches += st.dispatches;

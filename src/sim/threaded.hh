@@ -27,10 +27,17 @@
  * the shared ExecCore template over a FastMem-equivalent shim, so the
  * semantics stay single-sourced.
  *
- * Static per-block totals are applied in one shot at block entry; each
- * op also carries its own static delta so the rare bail-outs can walk
- * the unexecuted suffix and subtract it back. Every superblock bail-out
- * is preserved as a guard back to the oracle:
+ * Block transitions cost a handful of compares. A block entry adds
+ * only its static base and stall cycles (the boundary guards read
+ * them) and counts one run of its lowered code; the chain end applies
+ * runs × the block's other static totals, instruction count and
+ * dispatch count. Each op also carries its own static delta so the rare
+ * bail-outs can walk the unexecuted suffix and subtract it back. The
+ * next block comes from the last block's two successor links, tagged
+ * with the block table's slot-replacement count, before the table
+ * itself; either way it is revalidated (usually one code-epoch compare,
+ * see sim/pagegen.hh). Every superblock bail-out is preserved as a
+ * guard back to the oracle:
  *   - dyn-operand MMIO/unmapped pre-check (nothing committed);
  *   - own-block SMC via the shared page-generation table (committed,
  *     then stop);
@@ -49,6 +56,8 @@
 #define SWAPRAM_SIM_THREADED_HH
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "sim/bus.hh"
 #include "sim/config.hh"
@@ -138,6 +147,11 @@ class ThreadedEngine
 
     /** Kernel label table, fetched once from the dispatch function. */
     const void *const *labels_ = nullptr;
+
+    /** Lowered code entered in the running chain (runs > 0), held so
+     *  a rebuild of its block mid-chain cannot free it; cleared at
+     *  chain end, storage reused across chains. */
+    std::vector<std::shared_ptr<ThreadedCode>> chain_codes_;
 };
 
 } // namespace swapram::sim

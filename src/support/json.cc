@@ -30,8 +30,14 @@ Value::asInt() const
 {
     if (kind_ == Kind::Int)
         return int_;
-    if (kind_ == Kind::Double)
+    if (kind_ == Kind::Double) {
+        // Exactly the doubles in [-2^63, 2^63) with no fraction; the
+        // cast of anything else would truncate or be undefined.
+        if (!(double_ >= -0x1p63 && double_ < 0x1p63) ||
+            std::trunc(double_) != double_)
+            fatal("json: ", double_, " is not an integer in range");
         return static_cast<std::int64_t>(double_);
+    }
     panic("json: asInt on non-number");
 }
 
@@ -390,27 +396,60 @@ class Parser
         }
     }
 
+    /** The next character, '\0' at the end (numbers may end the
+     *  document). */
+    char
+    cur() const
+    {
+        return pos_ < text_.size() ? text_[pos_] : '\0';
+    }
+
+    /** Consume a run of digits; false if there is none. */
+    bool
+    digits()
+    {
+        std::size_t start = pos_;
+        while (pos_ < text_.size() &&
+               std::isdigit(static_cast<unsigned char>(text_[pos_])))
+            ++pos_;
+        return pos_ > start;
+    }
+
+    /** RFC 8259 numbers only: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+     *  and finite — no leading zeros, no bare '.' at either end. */
     Value
     number()
     {
         std::size_t start = pos_;
-        if (peek() == '-')
+        if (cur() == '-')
             ++pos_;
-        bool integral = true;
-        while (pos_ < text_.size()) {
-            char c = text_[pos_];
-            if (std::isdigit(static_cast<unsigned char>(c))) {
-                ++pos_;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '+' ||
-                       c == '-') {
-                integral = false;
-                ++pos_;
-            } else {
-                break;
-            }
+        auto bad = [&]() { // quote the text through the offending char
+            fail(cat("bad number '", text_.substr(start, pos_ + 1 - start),
+                     "'"));
+        };
+        if (cur() == '0') {
+            ++pos_;
+        } else if (!digits()) {
+            bad();
         }
-        if (pos_ == start || (text_[start] == '-' && pos_ == start + 1))
-            fail("bad number");
+        bool integral = true;
+        if (cur() == '.') {
+            ++pos_;
+            integral = false;
+            if (!digits())
+                bad();
+        }
+        if (cur() == 'e' || cur() == 'E') {
+            ++pos_;
+            integral = false;
+            if (cur() == '+' || cur() == '-')
+                ++pos_;
+            if (!digits())
+                bad();
+        }
+        if (std::isdigit(static_cast<unsigned char>(cur())) ||
+            cur() == '.')
+            bad(); // a leading zero followed by more digits, or "1.2.3"
         std::string tok = text_.substr(start, pos_ - start);
         if (integral) {
             errno = 0;
@@ -421,7 +460,7 @@ class Parser
         }
         char *end = nullptr;
         double d = std::strtod(tok.c_str(), &end);
-        if (!end || *end != '\0')
+        if (!end || *end != '\0' || !std::isfinite(d))
             fail(cat("bad number '", tok, "'"));
         return Value(d);
     }

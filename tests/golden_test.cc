@@ -29,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <tuple>
@@ -69,6 +70,20 @@ keyName(const Key &key)
            std::to_string(std::get<2>(key));
 }
 
+/** Expectation field @p name of @p row as a T: a whole number within
+ *  T's range, else a FatalError (a checksum of 70000 must not wrap). */
+template <typename T>
+T
+field(const support::json::Value &row, const char *name)
+{
+    const std::int64_t v = row[name].asInt();
+    if (v < 0 || static_cast<std::uint64_t>(v) >
+                     std::numeric_limits<T>::max())
+        support::fatal("golden expectation ", name, ": ", v,
+                       " is out of range");
+    return static_cast<T>(v);
+}
+
 std::map<Key, Golden>
 loadExpectations(const char *path, const char *regen_hint)
 {
@@ -88,17 +103,13 @@ loadExpectations(const char *path, const char *regen_hint)
     for (const support::json::Value &e :
          doc["expectations"].asArray()) {
         Golden g;
-        g.checksum =
-            static_cast<std::uint16_t>(e["checksum"].asInt());
-        g.total_cycles =
-            static_cast<std::uint64_t>(e["total_cycles"].asInt());
-        g.stall_cycles =
-            static_cast<std::uint64_t>(e["stall_cycles"].asInt());
-        g.swap_ins = static_cast<std::uint64_t>(e["swap_ins"].asInt());
-        g.evictions =
-            static_cast<std::uint64_t>(e["evictions"].asInt());
+        g.checksum = field<std::uint16_t>(e, "checksum");
+        g.total_cycles = field<std::uint64_t>(e, "total_cycles");
+        g.stall_cycles = field<std::uint64_t>(e, "stall_cycles");
+        g.swap_ins = field<std::uint64_t>(e, "swap_ins");
+        g.evictions = field<std::uint64_t>(e, "evictions");
         rows[{e["workload"].asString(), e["system"].asString(),
-              static_cast<std::uint32_t>(e["sram_size"].asInt())}] = g;
+              field<std::uint32_t>(e, "sram_size")}] = g;
     }
     return rows;
 }
@@ -217,6 +228,24 @@ TEST(GoldenConformance, NoEvictMatchesPreEvictionRuntime)
         << kRegenHint;
 
     checkAgainst(expectations, keys, specs, kRegenHint);
+}
+
+/** Expectation fields narrow only when they fit: a 70000 checksum or a
+ *  negative count is an error, not a wrapped value. */
+TEST(GoldenConformance, ExpectationFieldsRejectOutOfRange)
+{
+    support::json::Value row = support::json::parse(
+        "{\"checksum\": 70000, \"sram_size\": 4294967296, "
+        "\"swap_ins\": -1, \"evictions\": 1.5, \"ok\": 65535}");
+    EXPECT_THROW(field<std::uint16_t>(row, "checksum"),
+                 support::FatalError);
+    EXPECT_THROW(field<std::uint32_t>(row, "sram_size"),
+                 support::FatalError);
+    EXPECT_THROW(field<std::uint64_t>(row, "swap_ins"),
+                 support::FatalError);
+    EXPECT_THROW(field<std::uint64_t>(row, "evictions"),
+                 support::FatalError);
+    EXPECT_EQ(field<std::uint16_t>(row, "ok"), 65535);
 }
 
 } // namespace

@@ -282,6 +282,20 @@ TEST(Json, ParseRejectsMalformedInput)
                  support::FatalError);
     EXPECT_THROW(json::parse("\"unterminated"), support::FatalError);
     EXPECT_THROW(json::parse("nul"), support::FatalError);
+    // Numbers follow the JSON grammar and stay finite.
+    for (const char *bad : {"01", "-01", "1.", ".5", "-", "1e", "1e+",
+                            "1.2.3", "[00]", "{\"a\":1.}", "1e999",
+                            "-1e999"})
+        EXPECT_THROW(json::parse(bad), support::FatalError) << bad;
+    EXPECT_EQ(json::parse("0").asInt(), 0);
+    EXPECT_EQ(json::parse("-0.5e1").asDouble(), -5.0);
+    EXPECT_EQ(json::parse("2.0").asInt(), 2);
+    // asInt never truncates a fraction or casts out of range.
+    for (const char *bad : {"1.5", "-0.25", "1e30", "-1e30",
+                            "9223372036854775808"})
+        EXPECT_THROW(json::parse(bad).asInt(), support::FatalError)
+            << bad;
+    EXPECT_EQ(json::parse("-9223372036854775808").asInt(), INT64_MIN);
 }
 
 TEST(Logging, DebugChannelIsLevelGated)

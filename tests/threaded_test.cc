@@ -265,6 +265,266 @@ TEST(Threaded, SelfModifyingStoreInOwnBlockMatchesOracle)
     EXPECT_GT(on.stats().threaded_bail_smc, 0u);
 }
 
+/** A machine configured for one execution tier. */
+sim::MachineConfig
+tierConfig(Tier tier)
+{
+    sim::MachineConfig config;
+    config.superblock_enabled = tier != Tier::Oracle;
+    config.threaded_enabled = tier == Tier::Threaded;
+    return config;
+}
+
+/** The threaded run's host counters equal the block-stepped run's:
+ *  both tiers share the block table and bail at the same instructions,
+ *  so dispatches, retired instructions, bails, builds and rebuilds
+ *  agree counter for counter (the predecode counters too, since both
+ *  single-step the same instructions). */
+void
+expectHostCountersMatchBlocks(const sim::Stats &threaded,
+                              const sim::Stats &blocks,
+                              const std::string &ctx)
+{
+    EXPECT_EQ(threaded.threaded_dispatches, blocks.superblock_dispatches)
+        << ctx;
+    EXPECT_EQ(threaded.threaded_instructions,
+              blocks.superblock_instructions)
+        << ctx;
+    EXPECT_EQ(threaded.threaded_bail_operand,
+              blocks.superblock_bail_operand)
+        << ctx;
+    EXPECT_EQ(threaded.threaded_bail_smc, blocks.superblock_bail_smc)
+        << ctx;
+    EXPECT_EQ(threaded.threaded_bail_boundary,
+              blocks.superblock_bail_boundary)
+        << ctx;
+    EXPECT_EQ(threaded.superblock_blocks_built,
+              blocks.superblock_blocks_built)
+        << ctx;
+    EXPECT_EQ(threaded.superblock_invalidations,
+              blocks.superblock_invalidations)
+        << ctx;
+    EXPECT_EQ(threaded.predecode_hits, blocks.predecode_hits) << ctx;
+    EXPECT_EQ(threaded.predecode_misses, blocks.predecode_misses) << ctx;
+}
+
+/** Run @p body on all three tiers: the threaded and block-stepped runs
+ *  must match the always-decode oracle in every simulated counter, in
+ *  every register and in all of memory, and the threaded host counters
+ *  must match the block-stepped ones. Returns the threaded run's
+ *  Stats. */
+sim::Stats
+expectTiersMatchOracle(const std::string &body, const std::string &ctx)
+{
+    test::MiniRun oracle = test::runBody(body, tierConfig(Tier::Oracle));
+    EXPECT_TRUE(oracle.result.done) << ctx;
+    test::MiniRun runs[] = {
+        test::runBody(body, tierConfig(Tier::Threaded)),
+        test::runBody(body, tierConfig(Tier::Blocks)),
+    };
+    for (int t = 0; t < 2; ++t) {
+        test::MiniRun &run = runs[t];
+        const std::string at = ctx + " " + tierName(kTiers[t]);
+        EXPECT_TRUE(run.result.done) << at;
+        expectSimStatsEqual(run.stats(), oracle.stats(), at);
+        EXPECT_EQ(run.machine->cpu().regs(), oracle.machine->cpu().regs())
+            << at;
+        const std::uint8_t *mem = run.machine->memory().bytes();
+        const std::uint8_t *ref = oracle.machine->memory().bytes();
+        std::uint32_t diffs = 0;
+        for (std::uint32_t a = 0; a < 0x10000; ++a)
+            diffs += mem[a] != ref[a];
+        EXPECT_EQ(diffs, 0u) << at << ": bytes of memory differ";
+    }
+    expectHostCountersMatchBlocks(runs[0].stats(), runs[1].stats(), ctx);
+    return runs[0].stats();
+}
+
+/** Successor links: the hot block `top` links to `tgt`, and another
+ *  block rewrites tgt's immediate between two of top's entries. The
+ *  rewrite must move the code epoch so top's link revalidates tgt and
+ *  finds it stale. Entering tgt from a second predecessor (`top2`)
+ *  right after each rewrite rebuilds it there, and `back` — on tgt's
+ *  page — is rebuilt next, into freshly allocated memory; top's old
+ *  link must then fail on its replacement tag rather than hand back
+ *  whatever block now lives where the freed one did. */
+const char kLinkSmcBody[] =
+    "        MOV #0, R12\n"
+    "        MOV #0, R13\n"
+    "        MOV #0, R9\n"
+    "        MOV #3000, R10\n"
+    "        JMP top\n"
+    "        .space 64\n"
+    "top:    ADD #1, R13\n"
+    "        JMP tgt\n"
+    "top2:   ADD #3, R13\n"
+    "        JMP tgt\n"
+    "        .space 64\n"
+    "tgt:    ADD #5, R12\n"
+    "        JMP back\n"
+    "back:   DEC R10\n"
+    "        JZ fin\n"
+    "        JMP sel\n"
+    "        .space 64\n"
+    "sel:    XOR #1, R9\n"
+    "        JZ top\n"
+    "        BIT #0x3E, R10\n"
+    "        JNZ top2\n"
+    "        INC &tgt+2\n" // tgt: ADD #5 -> ADD #6 -> ...
+    "        JMP top2\n"
+    "        .space 64\n"
+    "fin:\n";
+
+TEST(Threaded, SuccessorLinkTargetRewrittenBetweenEntries)
+{
+    sim::Stats s = expectTiersMatchOracle(kLinkSmcBody, "link-smc");
+    EXPECT_GT(s.superblock_invalidations, 40u);
+    EXPECT_GT(s.threaded_instructions, s.instructions / 2);
+}
+
+/** A SwapRAM eviction plus re-copy into the same SRAM slot: pingpong
+ *  at 4 KiB thrashes two functions through one cache slot, so every
+ *  link into the slot outlives the code it was made for. */
+TEST(Threaded, SuccessorLinksSurviveEvictionRecopy)
+{
+    const workloads::Workload *pingpong = nullptr;
+    for (const workloads::Workload &w : workloads::capacity())
+        if (w.name == "pingpong")
+            pingpong = &w;
+    ASSERT_NE(pingpong, nullptr);
+    std::vector<harness::RunSpec> specs;
+    for (Tier tier : kTiers) {
+        harness::RunSpec spec = harness::capacitySpec(
+            *pingpong, harness::System::SwapRam, 4096);
+        setTier(spec, tier);
+        specs.push_back(spec);
+    }
+    std::vector<harness::RunOutcome> out =
+        harness::Engine().runAll(specs);
+    for (const harness::RunOutcome &o : out)
+        ASSERT_TRUE(o.ok()) << o.error_text;
+    const harness::Metrics &ref = out[2].metrics;
+    ASSERT_TRUE(ref.done);
+    EXPECT_GT(ref.swap_summary.evictions, 20u);
+    for (int t = 0; t < 2; ++t) {
+        const harness::Metrics &m = out[t].metrics;
+        const std::string at = std::string("pingpong ") + tierName(kTiers[t]);
+        ASSERT_TRUE(m.done) << at;
+        EXPECT_EQ(m.checksum, ref.checksum) << at;
+        EXPECT_EQ(m.data_snapshot, ref.data_snapshot) << at;
+        expectSimStatsEqual(m.stats, ref.stats, at);
+        expectTimelineEqual(m, ref, at);
+    }
+    expectHostCountersMatchBlocks(out[0].metrics.stats,
+                                  out[1].metrics.stats, "pingpong");
+    EXPECT_GT(out[0].metrics.stats.superblock_invalidations, 20u);
+}
+
+/** A store into a code page outside the running block's pages moves
+ *  the code epoch, so the loop's blocks take the per-page fallback on
+ *  every entry — and pass it: nothing is rebuilt. `other` runs once to
+ *  give its page built code; `cell` sits on that page, outside any
+ *  block. */
+const char kEpochBody[] =
+    "        MOV #0, R12\n"
+    "        MOV #2000, R10\n"
+    "        CALL #other\n"
+    "        JMP loop\n"
+    "        .space 64\n"
+    "loop:   ADD #1, R12\n"
+    "        INC &cell\n"
+    "        DEC R10\n"
+    "        JNZ loop\n"
+    "        JMP fin\n"
+    "        .space 64\n"
+    "other:  ADD #7, R11\n"
+    "        RET\n"
+    "cell:   .word 0\n"
+    "        .space 64\n"
+    "fin:\n";
+
+TEST(Threaded, CodePageStoreOutsideBlockTakesEpochFallback)
+{
+    sim::Stats s = expectTiersMatchOracle(kEpochBody, "epoch");
+    EXPECT_EQ(s.superblock_invalidations, 0u);
+    EXPECT_GT(s.threaded_instructions, 4 * 1900u);
+}
+
+/** Mid-block bail-outs inside long chains: the hot loop re-enters its
+ *  blocks thousands of times per chain, and every 512th iteration
+ *  bails — before op 0 (a register-dependent read of the energy
+ *  register at a block's first instruction), at a middle op (the same
+ *  read one instruction in), or on the last op (a store into the
+ *  block's own code, the 32nd instruction, so the chain goes on). The
+ *  per-chain totals must take back exactly the unexecuted suffix, and
+ *  an op-0 bail its dispatch. */
+std::string
+bailBody(int where)
+{
+    std::string pre =
+        "        MOV #0x2000, R8\n"
+        "        MOV #0x1234, 0(R8)\n"
+        "        MOV #0, R12\n"
+        "        MOV #0, R13\n"
+        "        MOV #4096, R10\n";
+    if (where == 0) {
+        return pre +
+               "loop:   MOV #0x010A, R7\n"
+               "        BIT #0x1FF, R10\n"
+               "        JZ go\n"
+               "        MOV R8, R7\n"
+               "go:     MOV @R7, R6\n"
+               "        ADD R6, R12\n"
+               "        DEC R10\n"
+               "        JNZ loop\n";
+    }
+    if (where == 1) {
+        return pre +
+               "loop:   MOV #0x010A, R7\n"
+               "        BIT #0x1FF, R10\n"
+               "        JZ mid\n"
+               "        MOV R8, R7\n"
+               "mid:    ADD #1, R13\n"
+               "        MOV @R7, R6\n"
+               "        ADD R6, R12\n"
+               "        DEC R10\n"
+               "        JNZ loop\n";
+    }
+    std::string body = pre +
+                       "        JMP loop\n"
+                       "        .space 64\n"
+                       "loop:   ADD R8, R12\n"
+                       "        DEC R10\n"
+                       "        JZ fin\n"
+                       "        BIT #0x1FF, R10\n"
+                       "        JNZ loop\n"
+                       "        JMP smc\n"
+                       "        .space 64\n"
+                       "smc:\n";
+    for (int i = 0; i < 31; ++i)
+        body += "        ADD #1, R13\n";
+    body += "        ADD #0, &smc\n" // 32nd: rewrites its own block
+            "        JMP loop\n"
+            "fin:\n";
+    return body;
+}
+
+TEST(Threaded, MidBlockBailsInLongChainsMatchOracle)
+{
+    const char *names[] = {"op 0", "middle op", "last op (smc)"};
+    for (int where = 0; where < 3; ++where) {
+        sim::Stats s = expectTiersMatchOracle(bailBody(where),
+                                              names[where]);
+        // Eight iterations read the energy register; seven run the
+        // self-rewriting block (the last would be the 4096th).
+        if (where < 2)
+            EXPECT_GE(s.threaded_bail_operand, 8u) << names[where];
+        else
+            EXPECT_EQ(s.threaded_bail_smc, 7u) << names[where];
+        EXPECT_GT(s.threaded_instructions, 4 * 4000u) << names[where];
+    }
+}
+
 /** Timer interrupts must land on exactly the same cycle: the chain
  *  must refuse any block whose worst-case bound could reach the fire
  *  cycle, handing back to the single-stepping machine loop. */

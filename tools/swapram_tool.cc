@@ -20,7 +20,8 @@
  *                            over several workloads, faults, sweep);
  *                            default: hardware concurrency. Results
  *                            are byte-identical at any job count.
- *   --system baseline|swapram|block      (default baseline; run/transform)
+ *   --system baseline|swapram|block      (default baseline; faults
+ *                            without --system runs swapram, then block)
  *   --placement unified|standard|sram-code|sram-all|split
  *   --clock MHZ              8 or 24 (default 24)
  *   --cache-base A --cache-end B         SwapRAM/block cache region
@@ -53,9 +54,6 @@
  *                            extension: .json=chrome, .csv=csv)
  *   --trace-limit N          stop streaming after N events
  *   --disasm                 annotate instruction events (text format)
- *   --trace N                deprecated alias for
- *                            "--trace-categories instr --trace-limit N
- *                            --disasm"
  *   --ring-capacity N        trace ring-buffer size in events (default
  *                            65536). When a traced run drops events the
  *                            tool warns on stderr; raise this to keep
@@ -168,6 +166,7 @@ struct Args {
     std::string workload;
     std::string func;
     harness::System system = harness::System::Baseline;
+    bool system_set = false; ///< explicit --system given
     harness::Placement placement = harness::Placement::Unified;
     std::uint32_t clock_hz = 24'000'000;
     cache::Options swap;
@@ -231,7 +230,7 @@ usage()
         "         --no-threaded (block-stepped superblock dispatch)\n"
         "         --trace-categories LIST   --trace-out FILE\n"
         "         --trace-format text|csv|chrome   --trace-limit N\n"
-        "         --disasm   --trace N (deprecated)\n"
+        "         --disasm\n"
         "         --fault-periods N,N,...   --fault-count N\n"
         "         --fault-seed S   --no-recovery   (faults)\n"
         "         --harvest-trace F,F,...   --ckpt-scheme LIST\n"
@@ -295,6 +294,7 @@ parseArgs(int argc, char **argv)
         if (a == "--workload") {
             args.workload = next();
         } else if (a == "--system") {
+            args.system_set = true;
             std::string v = next();
             if (v == "baseline")
                 args.system = harness::System::Baseline;
@@ -431,17 +431,11 @@ parseArgs(int argc, char **argv)
             args.update_golden = true;
         } else if (a == "--golden-out") {
             args.golden_out = next();
-        } else if (a == "--trace") {
-            support::warn("--trace N is deprecated; use "
-                          "--trace-categories instr --trace-limit N "
-                          "--disasm");
-            args.trace_categories |= trace::kCatInstr;
-            args.trace_limit =
-                parseNumber<std::uint64_t>("--trace", next());
-            args.disasm = true;
         } else if (!a.empty() && a[0] != '-') {
             args.file = a;
         } else {
+            std::fprintf(stderr, "swapram_tool: unknown option '%s'\n",
+                         a.c_str());
             usage();
         }
     }
@@ -1260,9 +1254,10 @@ cmdRun(const Args &args_in)
  *                metadata)
  *
  * Only converged and degraded count as success for the exit code.
+ * With @p docs the JSON document is appended there instead of printed.
  */
 int
-cmdFaults(const Args &args_in)
+faultCampaign(const Args &args_in, support::json::Array *docs)
 {
     Args args = args_in;
 
@@ -1597,9 +1592,12 @@ cmdFaults(const Args &args_in)
                     {"brown_out_pj", cap.brown_out_pj},
                     {"leak_watts", cap.leak_watts}});
         }
-        std::printf("%s\n", support::json::Value(std::move(root))
-                                .dump(2)
-                                .c_str());
+        if (docs)
+            docs->push_back(std::move(root));
+        else
+            std::printf("%s\n", support::json::Value(std::move(root))
+                                    .dump(2)
+                                    .c_str());
     } else {
         std::printf(
             "system=%s placement=%s recovery=%s mode=%s%s\n",
@@ -1671,6 +1669,32 @@ cmdFaults(const Args &args_in)
                      livelocked, livelocked == 1 ? "" : "s");
     }
     return any_bad ? 1 : 0;
+}
+
+/**
+ * `faults`: with --system, one campaign for that system (baseline
+ * included). Without it, the campaign runs for SwapRAM and then the
+ * block cache — the systems that have boot-recovery and checkpoint
+ * code to exercise. Text output is the two reports one after the
+ * other; --json prints a JSON array of the two documents.
+ */
+int
+cmdFaults(const Args &args)
+{
+    if (args.system_set)
+        return faultCampaign(args, nullptr);
+    support::json::Array docs;
+    int rc = 0;
+    for (harness::System system :
+         {harness::System::SwapRam, harness::System::BlockCache}) {
+        Args one = args;
+        one.system = system;
+        rc |= faultCampaign(one, args.json ? &docs : nullptr);
+    }
+    if (args.json)
+        std::printf("%s\n",
+                    support::json::Value(std::move(docs)).dump(2).c_str());
+    return rc;
 }
 
 /**
