@@ -2,17 +2,19 @@
  * @file
  * google-benchmark microbenchmarks of the infrastructure itself:
  * simulator throughput (simulated instructions per wall second) across
- * the host-side execution tiers (oracle / predecode / superblock /
- * threaded), assembler speed, and the SwapRAM/block-cache build passes.
+ * the host-side execution tiers (oracle / predecode / threaded),
+ * assembler speed, and the SwapRAM/block-cache build passes.
  *
  * Benchmark hygiene: Machine construction and image loading happen
  * outside the timed region (PauseTiming/ResumeTiming) — only run() is
- * measured. The superblock engine's block table allocation and the
- * assembler would otherwise dominate short iterations.
+ * measured. The fast tier's block table allocation and the assembler
+ * would otherwise dominate short iterations.
  *
  * Invoked as `bench_simperf --json[=PATH]` it skips google-benchmark
- * and emits a machine-readable `swapram-bench/v1` document comparing
- * the tiers (see BENCH_PR9.json and the CI smoke check).
+ * and emits a machine-readable `swapram-bench/v2` document comparing
+ * the tiers (checked by bench/check_bench_json.py, which also still
+ * accepts the v1 documents with a block-stepped `superblock` tier,
+ * such as BENCH_PR9.json).
  */
 
 #include <benchmark/benchmark.h>
@@ -56,16 +58,14 @@ crcAssembled()
     return assembled;
 }
 
-/** The four host-side execution tiers under measurement. The threaded
- *  tier replaces superblock dispatch when enabled, so the superblock
- *  variant pins it off to measure the block-stepped interpreter. */
+/** The three host-side execution tiers under measurement: the
+ *  always-decode oracle, predecode, and the threaded fast tier. */
 sim::MachineConfig
-tierConfig(bool predecode, bool superblock, bool threaded = false)
+tierConfig(bool predecode, bool fast_tier)
 {
     sim::MachineConfig config;
     config.predecode_enabled = predecode;
-    config.superblock_enabled = superblock;
-    config.threaded_enabled = threaded;
+    config.superblock_enabled = fast_tier;
     return config;
 }
 
@@ -89,22 +89,14 @@ runThroughput(benchmark::State &state, const sim::MachineConfig &config)
 }
 
 /** Full fast-path stack: predecode + threaded-code dispatch over hot
- *  superblocks (falls back to block stepping where unavailable). */
+ *  superblocks (the oracle where computed goto is unavailable). */
 void
 BM_SimulatorThroughput(benchmark::State &state)
-{
-    runThroughput(state, tierConfig(true, true, true));
-}
-
-/** Block-stepped superblock dispatch with the threaded tier pinned
- *  off — the interpreter the threaded tier is compared against. */
-void
-BM_SimulatorThroughputSuperblock(benchmark::State &state)
 {
     runThroughput(state, tierConfig(true, true));
 }
 
-/** Predecode only — PR 3's fast path, the superblock baseline. */
+/** Predecode only — the single-step path with decoding cached. */
 void
 BM_SimulatorThroughputNoSuperblock(benchmark::State &state)
 {
@@ -215,8 +207,6 @@ BM_BlockCacheBuild(benchmark::State &state)
 }
 
 BENCHMARK(BM_SimulatorThroughput)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SimulatorThroughputSuperblock)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulatorThroughputNoSuperblock)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulatorThroughputNoPredecode)
@@ -229,7 +219,7 @@ BENCHMARK(BM_SwapRamBuild)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BlockCacheBuild)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
-// --json mode: the swapram-bench/v1 report.
+// --json mode: the swapram-bench/v2 report.
 
 /** One tier measured for the JSON report: untimed setup, timed run(),
  *  repeated; the fastest repeat is the throughput (least interference
@@ -279,11 +269,9 @@ emitJsonReport(const std::string &path)
     const int repeats = 7;
     TierResult oracle = measureTier(tierConfig(false, false), repeats);
     TierResult predecode = measureTier(tierConfig(true, false), repeats);
-    TierResult superblock = measureTier(tierConfig(true, true), repeats);
-    TierResult threaded =
-        measureTier(tierConfig(true, true, true), repeats);
+    TierResult threaded = measureTier(tierConfig(true, true), repeats);
     // Metrics attached force single-step, so the honest reference is
-    // the predecode tier; disabled-metrics cost is the superblock
+    // the predecode tier; disabled-metrics cost is the threaded
     // variant itself (the pointer is compiled in and null there).
     TierResult with_metrics =
         measureTier(tierConfig(true, true), repeats, true);
@@ -301,23 +289,20 @@ emitJsonReport(const std::string &path)
                                    : 0.0;
     };
     json::Value doc(json::Object{
-        {"schema", "swapram-bench/v1"},
+        {"schema", "swapram-bench/v2"},
         {"benchmark", "BM_SimulatorThroughput"},
         {"workload", "crc"},
         {"repeats", repeats},
         {"variants", json::Array{
                          variant("no_predecode", oracle),
                          variant("predecode", predecode),
-                         variant("superblock", superblock),
                          variant("threaded", threaded),
                          variant("metrics", with_metrics),
                      }},
         {"speedup",
          json::Object{
              {"predecode_vs_no_predecode", ratio(predecode, oracle)},
-             {"superblock_vs_predecode", ratio(superblock, predecode)},
-             {"superblock_vs_no_predecode", ratio(superblock, oracle)},
-             {"threaded_vs_superblock", ratio(threaded, superblock)},
+             {"threaded_vs_predecode", ratio(threaded, predecode)},
              {"threaded_vs_no_predecode", ratio(threaded, oracle)},
              {"metrics_vs_predecode", ratio(with_metrics, predecode)},
          }},

@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""CI smoke: validate a `bench_simperf --json` swapram-bench/v1
-document — schema id, the execution-tier enum (every variant name must
-be a known tier, every expected tier must be present), internally
-consistent throughput and speedup numbers. Performance itself is not
-asserted (CI machines are noisy); BENCH_PR9.json records the reference
-run.
+"""CI smoke: validate a `bench_simperf --json` document — schema id,
+the execution-tier enum (every variant name must be a known tier, every
+expected tier must be present), internally consistent throughput and
+speedup numbers. Performance itself is not asserted (CI machines are
+noisy); BENCH_PR9.json records a reference run.
+
+Two schemas are accepted. `swapram-bench/v2` (what bench_simperf emits
+now) has the tiers no_predecode, predecode, threaded and metrics.
+`swapram-bench/v1` (the committed BENCH_PR*.json files) also carries
+the retired block-stepped `superblock` tier.
 
 Usage:
   check_bench_json.py <bench_simperf>     run the binary, check stdout
@@ -17,20 +21,33 @@ import json
 import subprocess
 import sys
 
-# The closed tier enum: a variant name outside this set is a report
-# bug (a renamed or misspelled tier would otherwise slip past CI).
-TIER_ENUM = frozenset(
-    ["no_predecode", "predecode", "superblock", "threaded", "metrics"])
-EXPECTED_VARIANTS = ["no_predecode", "predecode", "superblock",
-                     "threaded", "metrics"]
-EXPECTED_SPEEDUPS = [
-    ("predecode_vs_no_predecode", "predecode", "no_predecode"),
-    ("superblock_vs_predecode", "superblock", "predecode"),
-    ("superblock_vs_no_predecode", "superblock", "no_predecode"),
-    ("threaded_vs_superblock", "threaded", "superblock"),
-    ("threaded_vs_no_predecode", "threaded", "no_predecode"),
-    ("metrics_vs_predecode", "metrics", "predecode"),
-]
+# Per schema: the closed tier enum (a variant name outside it is a
+# report bug — a renamed or misspelled tier would otherwise slip past
+# CI; every tier in it must be present) and the expected speedups as
+# (key, numerator tier, denominator tier).
+SCHEMAS = {
+    "swapram-bench/v1": (
+        ["no_predecode", "predecode", "superblock", "threaded",
+         "metrics"],
+        [
+            ("predecode_vs_no_predecode", "predecode", "no_predecode"),
+            ("superblock_vs_predecode", "superblock", "predecode"),
+            ("superblock_vs_no_predecode", "superblock", "no_predecode"),
+            ("threaded_vs_superblock", "threaded", "superblock"),
+            ("threaded_vs_no_predecode", "threaded", "no_predecode"),
+            ("metrics_vs_predecode", "metrics", "predecode"),
+        ],
+    ),
+    "swapram-bench/v2": (
+        ["no_predecode", "predecode", "threaded", "metrics"],
+        [
+            ("predecode_vs_no_predecode", "predecode", "no_predecode"),
+            ("threaded_vs_predecode", "threaded", "predecode"),
+            ("threaded_vs_no_predecode", "threaded", "no_predecode"),
+            ("metrics_vs_predecode", "metrics", "predecode"),
+        ],
+    ),
+}
 
 
 class CheckError(Exception):
@@ -43,17 +60,18 @@ def check(cond, message):
 
 
 def validate(doc):
-    check(doc.get("schema") == "swapram-bench/v1",
-          f"bad schema id: {doc.get('schema')!r}")
+    schema = doc.get("schema")
+    check(schema in SCHEMAS, f"bad schema id: {schema!r}")
+    tiers, speedups = SCHEMAS[schema]
     check(doc.get("benchmark") == "BM_SimulatorThroughput",
           f"bad benchmark name: {doc.get('benchmark')!r}")
     check(doc.get("workload"), "missing workload")
     check(doc.get("repeats", 0) >= 1, "repeats must be >= 1")
 
     variants = {v["name"]: v for v in doc["variants"]}
-    unknown = sorted(set(variants) - TIER_ENUM)
+    unknown = sorted(set(variants) - set(tiers))
     check(not unknown, f"unrecognized tier(s) in report: {unknown}")
-    missing = sorted(set(EXPECTED_VARIANTS) - set(variants))
+    missing = sorted(set(tiers) - set(variants))
     check(not missing, f"missing tier(s) in report: {missing}")
     instr = {v["instructions"] for v in variants.values()}
     check(len(instr) == 1, f"tiers ran different programs: {instr}")
@@ -64,7 +82,7 @@ def validate(doc):
         check(abs(rate - v["instr_per_s"]) < 1e-6 * rate,
               f"inconsistent instr_per_s: {v}")
 
-    for key, num, den in EXPECTED_SPEEDUPS:
+    for key, num, den in speedups:
         check(key in doc.get("speedup", {}), f"missing speedup: {key}")
         got = doc["speedup"][key]
         want = (variants[num]["instr_per_s"] /
@@ -77,20 +95,26 @@ def validate(doc):
 def self_test():
     """The checker must reject each of these corruptions; a validator
     that silently passes a bad report is worse than none."""
-    base = {
-        "schema": "swapram-bench/v1",
-        "benchmark": "BM_SimulatorThroughput",
-        "workload": "crc",
-        "repeats": 3,
-        "variants": [
-            {"name": n, "instructions": 1000, "best_seconds": 0.5,
-             "instr_per_s": 2000.0} for n in EXPECTED_VARIANTS
-        ],
-        "speedup": {k: 1.0 for k, _, _ in EXPECTED_SPEEDUPS},
-    }
-    validate(copy.deepcopy(base))  # the clean document must pass
+    def document(schema):
+        tiers, speedups = SCHEMAS[schema]
+        return {
+            "schema": schema,
+            "benchmark": "BM_SimulatorThroughput",
+            "workload": "crc",
+            "repeats": 3,
+            "variants": [
+                {"name": n, "instructions": 1000, "best_seconds": 0.5,
+                 "instr_per_s": 2000.0} for n in tiers
+            ],
+            "speedup": {k: 1.0 for k, _, _ in speedups},
+        }
 
-    def corrupt(mutate, label):
+    v1 = document("swapram-bench/v1")
+    v2 = document("swapram-bench/v2")
+    validate(copy.deepcopy(v1))  # the clean documents must pass
+    validate(copy.deepcopy(v2))
+
+    def corrupt(base, mutate, label):
         doc = copy.deepcopy(base)
         mutate(doc)
         try:
@@ -99,19 +123,32 @@ def self_test():
             return
         sys.exit(f"self-test: corruption not rejected: {label}")
 
-    corrupt(lambda d: d.update(schema="swapram-bench/v2"), "schema id")
-    corrupt(lambda d: d["variants"].append(
+    corrupt(v1, lambda d: d.update(schema="swapram-bench/v3"),
+            "schema id")
+    corrupt(v1, lambda d: d["variants"].append(
         {"name": "turbo", "instructions": 1000, "best_seconds": 0.5,
          "instr_per_s": 2000.0}), "unrecognized tier")
-    corrupt(lambda d: d["variants"].pop(), "missing tier")
-    corrupt(lambda d: d["variants"][0].update(instructions=999),
+    corrupt(v1, lambda d: d["variants"].pop(), "missing tier")
+    corrupt(v1, lambda d: d["variants"][0].update(instructions=999),
             "tier instruction mismatch")
-    corrupt(lambda d: d["variants"][0].update(instr_per_s=1.0),
+    corrupt(v1, lambda d: d["variants"][0].update(instr_per_s=1.0),
             "inconsistent throughput")
-    corrupt(lambda d: d["speedup"].update(threaded_vs_superblock=9.0),
+    corrupt(v1, lambda d: d["speedup"].update(threaded_vs_superblock=9.0),
             "inconsistent speedup")
-    corrupt(lambda d: d["speedup"].pop("threaded_vs_superblock"),
+    corrupt(v1, lambda d: d["speedup"].pop("threaded_vs_superblock"),
             "missing speedup key")
+    # v2 retired the block-stepped tier: a v2 report carrying it, or a
+    # v1 report missing it, is a schema mix-up.
+    corrupt(v2, lambda d: d["variants"].append(
+        {"name": "superblock", "instructions": 1000,
+         "best_seconds": 0.5, "instr_per_s": 2000.0}),
+            "v2 with the superblock tier")
+    corrupt(v1, lambda d: d.update(schema="swapram-bench/v2"),
+            "v1 tiers under the v2 schema id")
+    corrupt(v2, lambda d: d["speedup"].update(threaded_vs_predecode=9.0),
+            "inconsistent v2 speedup")
+    corrupt(v2, lambda d: d["speedup"].pop("threaded_vs_predecode"),
+            "missing v2 speedup key")
     print("self-test ok: all corrupted reports rejected")
 
 
@@ -128,13 +165,15 @@ def main():
     else:
         sys.exit("usage: check_bench_json.py <bench_simperf> | "
                  "--file <doc.json> | --self-test")
+    doc = json.loads(out)
     try:
-        variants = validate(json.loads(out))
+        variants = validate(doc)
     except CheckError as e:
-        sys.exit(f"swapram-bench/v1 invalid: {e}")
-    print("swapram-bench/v1 ok:",
+        sys.exit(f"bench report invalid: {e}")
+    tiers, _ = SCHEMAS[doc["schema"]]
+    print(f"{doc['schema']} ok:",
           ", ".join(f"{n} {variants[n]['instr_per_s'] / 1e6:.1f}M/s"
-                    for n in EXPECTED_VARIANTS))
+                    for n in tiers))
 
 
 if __name__ == "__main__":

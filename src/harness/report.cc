@@ -154,11 +154,6 @@ statsJson(const sim::Stats &s)
         {"predecode_misses", s.predecode_misses},
         {"predecode_invalidations", s.predecode_invalidations},
         {"superblock_blocks_built", s.superblock_blocks_built},
-        {"superblock_dispatches", s.superblock_dispatches},
-        {"superblock_instructions", s.superblock_instructions},
-        {"superblock_bail_operand", s.superblock_bail_operand},
-        {"superblock_bail_smc", s.superblock_bail_smc},
-        {"superblock_bail_boundary", s.superblock_bail_boundary},
         {"superblock_invalidations", s.superblock_invalidations},
         {"threaded_blocks_lowered", s.threaded_blocks_lowered},
         {"threaded_dispatches", s.threaded_dispatches},

@@ -131,18 +131,15 @@ struct RunSpec {
      *  results must be identical either way. */
     bool predecode = true;
 
-    /** Host-side superblock execution engine (see sim::MachineConfig).
-     *  Off is the single-step oracle for differential tests; simulated
-     *  results must be identical either way. The default follows the
-     *  build (-DSWAPRAM_NO_SUPERBLOCK flips it off). */
+    /** Host-side fast tier (see sim::MachineConfig). Off is the
+     *  single-step oracle for differential tests; simulated results
+     *  must be identical either way. The default follows the build
+     *  (-DSWAPRAM_NO_SUPERBLOCK flips it off). */
     bool superblock = sim::kSuperblockDefaultEnabled;
 
-    /** Threaded-code dispatch over hot superblocks (see
-     *  sim::MachineConfig). Only meaningful with superblock on; off
-     *  falls back to block-stepped dispatch. Simulated results must be
-     *  identical either way. The default follows the build
-     *  (-DSWAPRAM_NO_THREADED flips it off). */
-    bool threaded = sim::kThreadedDefaultEnabled;
+    /** Kept only because perfbench assigns it: false means the oracle,
+     *  the same as superblock = false (see sim::MachineConfig). */
+    bool threaded = true;
 
     /**
      * How many times the startup stub calls main() (the paper runs

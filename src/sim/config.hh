@@ -24,16 +24,6 @@ inline constexpr bool kSuperblockDefaultEnabled =
     true;
 #endif
 
-/** Build-configured default for MachineConfig::threaded_enabled; the
- *  -DSWAPRAM_NO_THREADED CI leg pins the block-stepped superblock
- *  tier so the two dispatchers stay byte-identical. */
-inline constexpr bool kThreadedDefaultEnabled =
-#ifdef SWAPRAM_NO_THREADED
-    false;
-#else
-    true;
-#endif
-
 /** Configuration of one Machine instance. */
 struct MachineConfig {
     /** CPU clock (MCLK). The paper evaluates 8 MHz and 24 MHz. */
@@ -73,27 +63,22 @@ struct MachineConfig {
     bool predecode_enabled = true;
 
     /**
-     * Host-side superblock execution engine: group decoded instructions
-     * into straight-line blocks and dispatch a whole block per run-loop
-     * iteration, with batched accounting and direct-memory data access.
-     * Simulated behaviour and timing are identical either way (the
-     * engine bails to the single-step path at every boundary it cannot
-     * prove safe); disable for the pure oracle. The build-time default
-     * is flipped by -DSWAPRAM_NO_SUPERBLOCK (CI oracle leg).
+     * Host-side fast tier: group decoded instructions into
+     * straight-line blocks, lower hot blocks to computed-goto threaded
+     * code, and run whole chains of them per run-loop iteration, with
+     * batched accounting and direct-memory data access. Simulated
+     * behaviour and timing are identical either way (the tier bails to
+     * the single-step path at every boundary it cannot prove safe);
+     * disable for the pure oracle. The tier also stays off, silently,
+     * without the GNU computed-goto extension or when the wait states
+     * or contention stall exceed 0xFFFF. The build-time default is
+     * flipped by -DSWAPRAM_NO_SUPERBLOCK (CI oracle leg).
      */
     bool superblock_enabled = kSuperblockDefaultEnabled;
 
-    /**
-     * Computed-goto threaded-code tier on top of the superblock
-     * engine: hot blocks are lowered once to specialized kernels with
-     * flattened operands and executed as an indirect-goto chain. Needs
-     * superblock_enabled (it shares the block table and every bail-out
-     * guard) and the GNU computed-goto extension; silently falls back
-     * to block-stepped dispatch otherwise. Simulated behaviour and
-     * timing are identical either way. The build-time default is
-     * flipped by -DSWAPRAM_NO_THREADED (CI differential leg).
-     */
-    bool threaded_enabled = kThreadedDefaultEnabled;
+    /** Kept only because perfbench assigns it: false means the oracle,
+     *  the same as superblock_enabled = false. */
+    bool threaded_enabled = true;
 
     /**
      * Periodic timer interrupt, in cycles (0 = disabled). When due and

@@ -1,6 +1,7 @@
 #include "sim/machine.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/logging.hh"
 #include "trace/profile.hh"
@@ -50,24 +51,25 @@ Machine::Machine(const MachineConfig &config)
         cpu_.setPredecode(predecode_.get());
         bus_.setPredecode(predecode_.get());
     }
-    if (config_.superblock_enabled) {
+    // The fast tier: the block table and the threaded engine that
+    // lowers from it, built together or not at all. Lowered ops carry
+    // per-access stall costs in 16-bit fields, and the same bound keeps
+    // the u32 per-block totals and Block::worst_case_cycles (at most 32
+    // instructions × 6 accesses × 0xFFFF) from overflowing, so a config
+    // whose stalls do not fit runs every instruction on the oracle.
+    const bool stalls_fit = config_.effectiveWaitStates() <= 0xFFFF &&
+                            config_.contention_stall <= 0xFFFF;
+    if (config_.superblock_enabled && config_.threaded_enabled &&
+        stalls_fit && ThreadedEngine::available()) {
         superblock_ = std::make_unique<SuperblockEngine>(
-            cpu_, memory_, bus_, stats_, config_);
-        superblock_->setPredecode(predecode_.get());
+            memory_, bus_, stats_, config_);
         superblock_->setClassifier([this](std::uint16_t pc) {
             return static_cast<std::uint8_t>(classifyPc(pc));
         });
         bus_.setPageGens(&superblock_->pageGens());
-        // Lowered ops carry per-probe stall costs in 16-bit fields;
-        // pathological wait-state configs fall back to block stepping.
-        bool stalls_fit = config_.effectiveWaitStates() <= 0xFFFF &&
-                          config_.contention_stall <= 0xFFFF;
-        if (config_.threaded_enabled && stalls_fit &&
-            ThreadedEngine::available()) {
-            threaded_ = std::make_unique<ThreadedEngine>(
-                cpu_, memory_, bus_, stats_, config_, *superblock_);
-            threaded_->setPredecode(predecode_.get());
-        }
+        threaded_ = std::make_unique<ThreadedEngine>(
+            cpu_, memory_, bus_, stats_, config_, *superblock_);
+        threaded_->setPredecode(predecode_.get());
     }
 }
 
@@ -294,10 +296,10 @@ Machine::step()
     cpu_.step(stats_);
 }
 
-bool
+ThreadedEngine::ChainResult
 Machine::trySuperblock()
 {
-    SuperblockEngine::ChainLimits limits;
+    ThreadedEngine::ChainLimits limits;
     limits.now = stats_.totalCycles();
     limits.limit_cycles = config_.max_cycles;
     if (fault_) {
@@ -317,20 +319,20 @@ Machine::trySuperblock()
         // accesses).
         if (trace_->outsideCopyMask() &
             ~(trace::kCatSwap | trace::kCatPower))
-            return false;
+            return {};
         owner = static_cast<std::uint8_t>(classifyPc(pc));
         if (owner == static_cast<std::uint8_t>(CodeOwner::Memcpy))
-            return false;
+            return {};
         // The events below belong before the next retired instruction,
         // so a timer entry due now (which step() delivers first) and a
         // checkpoint probe (step() emits it first) stay on the oracle.
         if (config_.timer_period_cycles &&
             (timer_pending_ || limits.now >= timer_next_fire_) &&
             cpu_.interruptsEnabled())
-            return false;
+            return {};
         if (trace_->wants(trace::kCatPower)) {
             if (pc == ckpt_commit_entry_ || pc == ckpt_restore_entry_)
-                return false;
+                return {};
             limits.probe_a = ckpt_commit_entry_;
             limits.probe_b = ckpt_restore_entry_;
         }
@@ -362,16 +364,12 @@ Machine::trySuperblock()
     if (trace_)
         noteOwner(pc, owner);
 
-    SuperblockEngine::ChainResult res =
-        threaded_ ? threaded_->runChain(limits)
-                  : superblock_->runChain(limits);
-    if (!res.instructions)
-        return false;
+    ThreadedEngine::ChainResult res = threaded_->runChain(limits);
     // The chain never crosses the recovery boundary, so its whole
     // cycle delta attributes to the entry PC's side.
-    if (in)
+    if (in && res.instructions)
         stats_.recovery_cycles += res.cycles;
-    return true;
+    return res;
 }
 
 void
@@ -419,7 +417,12 @@ Machine::bootWatermark() const
 RunResult
 Machine::run()
 {
+    bool after_operand_bail = false;
     while (!mmio_.done()) {
+        // A chain that stopped before an instruction whose operand
+        // leaves SRAM/FRAM leaves it to the oracle: on the next
+        // iteration only, a chain attempt there would just bail again.
+        const bool skip_chain = std::exchange(after_operand_bail, false);
         if (stats_.totalCycles() >= config_.max_cycles) {
             return {false, 0, RunResult::Stop::MaxCycles};
         }
@@ -443,8 +446,13 @@ Machine::run()
         // Chained fast path: per-instruction observers (profiler,
         // metrics) need the oracle; an attached trace engine is
         // gated per PC inside trySuperblock().
-        if (superblock_ && !profiler_ && !metrics_ && trySuperblock())
-            continue;
+        if (threaded_ && !skip_chain && !profiler_ && !metrics_) {
+            ThreadedEngine::ChainResult res = trySuperblock();
+            if (res.instructions) {
+                after_operand_bail = res.operand_bail;
+                continue;
+            }
+        }
         step();
     }
     return {true, mmio_.exitCode(), RunResult::Stop::Done};

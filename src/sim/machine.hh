@@ -15,7 +15,7 @@
  * engine does so inside the runtime's copy loop, and everywhere when
  * TraceEngine::outsideCopyMask() wants more than owner changes and
  * power events (trace::kCatSwap | trace::kCatPower). A
- * swap-timeline-only run therefore dispatches superblock chains
+ * swap-timeline-only run therefore dispatches threaded chains
  * everywhere but the copy loop, with owner-change, recovery, and
  * checkpoint events emitted between chains on the cycles the oracle
  * gives them.
@@ -95,8 +95,8 @@ class Machine
     /**
      * Attach run metrics (heatmap + histograms, recorded by the bus);
      * nullptr detaches. Not owned. Like profiling, an attached
-     * collector forces single-step execution — the superblock fast
-     * path accounts accesses in bulk and would bypass per-access
+     * collector forces single-step execution — the threaded fast
+     * tier accounts accesses in bulk and would bypass per-access
      * recording — while simulated results stay identical.
      */
     void setMetrics(metrics::RunMetrics *metrics)
@@ -140,11 +140,11 @@ class Machine
     {
         recovery_base_ = base;
         recovery_end_ = end;
-        // Superblocks must not span the attribution boundary.
-        if (superblock_)
+        // Blocks and chains must not span the attribution boundary.
+        if (superblock_) {
             superblock_->setRecoveryRange(base, end);
-        if (threaded_)
             threaded_->setRecoveryRange(base, end);
+        }
     }
 
     /**
@@ -194,13 +194,14 @@ class Machine
     void interruptObserved(std::uint16_t pc);
 
     /**
-     * Attempt a superblock dispatch at the current PC. Returns true if
-     * at least one instruction retired; false means the caller must
-     * single-step (no block here, a cycle boundary — fault, timer,
-     * max_cycles — could land inside the block's worst-case bound, or
-     * the attached trace engine needs the oracle at this PC).
+     * Attempt a threaded chain at the current PC. instructions == 0
+     * means the caller must single-step (no block here, a cycle
+     * boundary — fault, timer, max_cycles — could land inside the
+     * block's worst-case bound, an operand bail at the first
+     * instruction, or the attached trace engine needs the oracle at
+     * this PC).
      */
-    bool trySuperblock();
+    ThreadedEngine::ChainResult trySuperblock();
 
     MachineConfig config_;
     Memory memory_;
@@ -214,8 +215,9 @@ class Machine
      *  (write invalidation) wired to the same instance. */
     std::unique_ptr<PredecodeCache> predecode_;
 
-    /** Superblock dispatch engine (null when config disables it); the
-     *  bus's write paths share its page-generation table. */
+    /** The fast tier: the block table (the bus's write paths share
+     *  its page-generation table) and the threaded engine lowering
+     *  from it. Both null, or both set (see the constructor). */
     std::unique_ptr<SuperblockEngine> superblock_;
     std::unique_ptr<ThreadedEngine> threaded_;
 

@@ -75,38 +75,36 @@ struct Stats {
     std::uint64_t predecode_invalidations = 0;
 
     /**
-     * Superblock engine behaviour (host-side only, like the predecode
+     * Block table behaviour (host-side only, like the predecode
      * counters: block coverage never feeds back into simulated timing,
-     * which must be identical with the engine disabled).
+     * which must be identical with the fast tier disabled).
      */
     std::uint64_t superblock_blocks_built = 0; ///< non-empty builds
-    std::uint64_t superblock_dispatches = 0;   ///< blocks executed
-    std::uint64_t superblock_instructions = 0; ///< retired in block mode
-    /** Mid-block stop: an operand resolved to MMIO/unmapped, so the
-     *  instruction was handed to the single-step oracle untouched. */
-    std::uint64_t superblock_bail_operand = 0;
-    /** Mid-block stop: a store hit the executing block's own code. */
-    std::uint64_t superblock_bail_smc = 0;
-    /** Dispatch refused: the block's worst-case cycle bound could cross
-     *  a fault/timer/max-cycle boundary (single-step until past it). */
-    std::uint64_t superblock_bail_boundary = 0;
     /** Cached block found stale (write generations moved) and rebuilt. */
     std::uint64_t superblock_invalidations = 0;
+    // Always 0 since block-stepped dispatch was retired; kept because
+    // perfbench reads them. RunReport no longer emits them.
+    std::uint64_t superblock_dispatches = 0;
+    std::uint64_t superblock_instructions = 0;
+    std::uint64_t superblock_bail_operand = 0;
+    std::uint64_t superblock_bail_smc = 0;
+    std::uint64_t superblock_bail_boundary = 0;
 
     /**
-     * Threaded-code tier behaviour (host-side only, same contract as
-     * the superblock counters: simulated results are identical with
-     * the tier disabled). When the threaded tier is active it replaces
-     * superblock dispatch, so the two counter families are mutually
-     * exclusive per run; block builds/invalidations still land on the
-     * shared superblock_* counters (one block table serves both).
+     * Threaded-code tier behaviour (host-side only, same contract:
+     * simulated results are identical with the tier disabled).
      */
     std::uint64_t threaded_blocks_lowered = 0; ///< blocks lowered
     std::uint64_t threaded_dispatches = 0;     ///< blocks executed
     std::uint64_t threaded_instructions = 0;   ///< retired threaded
-    std::uint64_t threaded_bail_operand = 0; ///< dyn operand to MMIO
-    std::uint64_t threaded_bail_smc = 0;     ///< store into own block
-    std::uint64_t threaded_bail_boundary = 0; ///< cycle-bound refusal
+    /** Mid-block stop: an operand resolved to MMIO/unmapped, so the
+     *  instruction was handed to the single-step oracle untouched. */
+    std::uint64_t threaded_bail_operand = 0;
+    /** Mid-block stop: a store hit the executing block's own code. */
+    std::uint64_t threaded_bail_smc = 0;
+    /** Dispatch refused: the block's worst-case cycle bound could cross
+     *  a fault/timer/max-cycle boundary (single-step until past it). */
+    std::uint64_t threaded_bail_boundary = 0;
 
     std::uint64_t totalCycles() const { return base_cycles + stall_cycles; }
     std::uint64_t framAccesses() const { return fram.total(); }

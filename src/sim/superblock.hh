@@ -1,7 +1,9 @@
 /**
  * @file
- * Superblock execution engine: straight-line groups of predecoded
- * instructions dispatched one block per run-loop iteration.
+ * Superblock table: straight-line groups of predecoded instructions,
+ * built once per PC and revalidated on every lookup. The threaded
+ * tier (sim/threaded.hh) lowers and executes them; this file only
+ * builds them, bounds them, and says whether they are still valid.
  *
  * A block is built by scanning forward from a word-aligned PC,
  * decoding speculatively until a terminator:
@@ -15,30 +17,13 @@
  *     boundary, or a checkpoint probe PC;
  *   - the size caps (kMaxBlockInstrs / kMaxBlockBytes).
  *
- * Execution replays, per instruction, exactly the accounting the
- * bus+cpu oracle would produce: fetch counts and FRAM hardware-cache /
- * wait-state / contention stalls are precomputed per fetch word at
- * build time (line-contention flags are static because fetch addresses
- * are); data accesses run through a direct uint8_t* fast path that
- * inlines the bus's region counting, code/data classification, and
- * FRAM timing model. All counter updates accumulate in registers and
- * flush to Stats once per block.
- *
- * Bail-out keeps the engine byte-identical to the oracle:
- *   - before each instruction, register-dependent operand addresses
- *     are pre-checked; if any would touch MMIO/unmapped space the
- *     block stops *before* that instruction (nothing committed) and
- *     the oracle single-steps it;
- *   - a store into the executing block's own code range stops the
- *     block after the current instruction;
- *   - the Machine refuses to dispatch a block whose worst-case cycle
- *     bound could cross a fault-injection, timer-interrupt, or
- *     max-cycles boundary — it single-steps until past it — so faults
- *     and interrupts land on exactly the same cycle in both modes;
- *   - with a trace engine attached, chains also stop where the code
- *     owner changes and at checkpoint probe PCs, so the Machine can
- *     emit OwnerChange / checkpoint events between chains on the
- *     oracle's cycles (profilers and metrics still disable dispatch).
+ * Per instruction the builder records everything static: base cycles,
+ * fetch words split into code/data space, FRAM fetch line-contention
+ * flags (static because fetch addresses are), and whether an operand
+ * address depends on a register (kFlagDynMem, pre-checked with
+ * dynOperandsMapped before execution) or SR may change (kFlagWritesSr).
+ * Per block it records a worst-case cycle bound, which the fast tier
+ * checks against fault, timer and max-cycles boundaries before entry.
  *
  * Invalidation piggybacks on the write paths that already feed the
  * predecode cache's 3-slot invalidation: every store bumps per-page
@@ -60,10 +45,8 @@
 #include "isa/instruction.hh"
 #include "sim/bus.hh"
 #include "sim/config.hh"
-#include "sim/cpu.hh"
 #include "sim/memory.hh"
 #include "sim/pagegen.hh"
-#include "sim/predecode.hh"
 #include "sim/stats.hh"
 
 namespace swapram::sim {
@@ -73,7 +56,7 @@ namespace swapram::sim {
  *  by the threaded tier (sim/threaded.cc). */
 class ThreadedCode;
 
-/** Block-stepped dispatch over straight-line code. */
+/** The block table the threaded tier lowers from. */
 class SuperblockEngine
 {
   public:
@@ -119,7 +102,10 @@ class SuperblockEngine
         RegionKind fetch_region = RegionKind::Fram;
         std::uint8_t owner = 0; ///< CodeOwner shared by every instr
         bool writes_sr = false;
-        /** Upper bound on total cycles one execution can cost. */
+        /** Upper bound on total cycles one execution can cost. Blocks
+         *  exist only when wait states and contention stall fit in 16
+         *  bits, so this stays near 32 instructions × 6 accesses ×
+         *  0xFFFF and cannot overflow. */
         std::uint32_t worst_case_cycles = 0;
         std::vector<BlockInstr> instrs;
 
@@ -136,12 +122,8 @@ class SuperblockEngine
         std::shared_ptr<ThreadedCode> threaded;
     };
 
-    SuperblockEngine(Cpu &cpu, Memory &memory, Bus &bus, Stats &stats,
+    SuperblockEngine(Memory &memory, Bus &bus, Stats &stats,
                      const MachineConfig &config);
-
-    /** Attach the predecode cache so fast-path stores mirror the bus's
-     *  3-slot invalidation; nullptr detaches. Not owned. */
-    void setPredecode(PredecodeCache *cache) { predecode_ = cache; }
 
     /** Owner classification used to pre-attribute instr_by_owner
      *  (Machine::classifyPc). Build-time only. */
@@ -196,7 +178,7 @@ class SuperblockEngine
     std::uint64_t replacements() const { return replacements_; }
 
     /** True when @p addr lies in plain memory (SRAM or FRAM) — the
-     *  only space the fast paths may touch directly. */
+     *  only space the fast tier may touch directly. */
     static bool addrMapped(std::uint16_t addr, std::uint32_t sram_size);
 
     /**
@@ -205,65 +187,22 @@ class SuperblockEngine
      * arithmetic (including @Rn+ post-increments feeding a later
      * operand through the same register, and PUSH/CALL's SP-2 stack
      * slot). False means some access would leave SRAM/FRAM — the
-     * caller bails to the oracle with nothing committed. Shared with
-     * the threaded tier so both fast paths guard identically.
+     * caller bails to the oracle with nothing committed.
      */
     static bool
     dynOperandsMapped(const isa::Instr &in,
                       const std::array<std::uint16_t, 16> &regs,
                       std::uint32_t sram_size);
 
-    /** Cycle boundaries a chain must respect (Machine's per-step
-     *  run-loop checks, precomputed once per chain). */
-    struct ChainLimits {
-        /** Stats::totalCycles() at chain entry. */
-        std::uint64_t now = 0;
-        /** Blocks must end strictly below this total-cycle count —
-         *  min(max_cycles, next scheduled fault). */
-        std::uint64_t limit_cycles = UINT64_MAX;
-        /** Timer period (0 = no timer) and its pending state. */
-        std::uint64_t timer_period = 0;
-        std::uint64_t timer_fire = 0;
-        bool timer_pending = false;
-        /** A trace engine is attached: stop before a block whose owner
-         *  differs from the entry block's, and before a block starting
-         *  at either probe PC (0 = none), so the Machine emits the
-         *  OwnerChange and checkpoint events between chains. */
-        bool observed = false;
-        std::uint16_t probe_a = 0, probe_b = 0;
-    };
-
-    struct ChainResult {
-        std::uint64_t instructions = 0; ///< retired by the chain
-        std::uint64_t cycles = 0;       ///< base+stall added
-    };
-
-    /**
-     * Dispatch consecutive blocks starting at the current PC until a
-     * bail-out, a missing block, or a cycle boundary, updating
-     * registers, memory, and Stats exactly as that many oracle steps
-     * would. The accumulator, the direct-memory context, and the
-     * executor are shared across the whole chain, so per-block cost is
-     * one table lookup plus the boundary guards. instructions == 0
-     * means the caller must single-step the oracle. Chains never cross
-     * the recovery-range boundary (every block's cycles attribute the
-     * same way); with a recovery range set, all retired cycles belong
-     * to the entry PC's side. Observed chains (limits.observed) never
-     * cross an owner boundary either.
-     */
-    ChainResult runChain(const ChainLimits &limits);
-
   private:
     std::unique_ptr<Block> build(std::uint16_t pc);
 
-    Cpu &cpu_;
     Memory &memory_;
     Bus &bus_;
     Stats &stats_;
     const MachineConfig &config_;
 
     PageGenTable gens_;
-    PredecodeCache *predecode_ = nullptr;
     std::function<std::uint8_t(std::uint16_t)> classify_;
 
     std::uint16_t recovery_base_ = 0;

@@ -210,7 +210,7 @@ struct DCtx {
     // Chain state for block transitions inside the dispatch loop
     // (ThreadedEngine::advanceChain).
     ThreadedEngine *eng = nullptr;
-    const SuperblockEngine::ChainLimits *limits = nullptr;
+    const ThreadedEngine::ChainLimits *limits = nullptr;
     ThreadedCode *cur_tc = nullptr; ///< dispatched block's lowered code
     TOp *cur_ops = nullptr;
     std::uint64_t total = 0;      ///< bail-out corrections to runs × n
@@ -386,7 +386,7 @@ simStore(std::uint8_t *dp, std::uint32_t r, std::uint32_t mask)
 
 /** The bus's FRAM read timing model for one dynamic data access;
  *  returns after updating the contention chain and the dynamic
- *  counters. Mirrors superblock FastMem::framStall(is_write=false). */
+ *  counters. */
 inline void
 dynFramRead(DCtx *st, std::uint16_t addr)
 {
@@ -411,7 +411,8 @@ dynFramRead(DCtx *st, std::uint16_t addr)
     st->acc[kAccStall] += stall;
 }
 
-/** FastMem::framStall(is_write=true). */
+/** The bus's FRAM write timing model (writes bypass the hardware
+ *  cache). */
 inline void
 dynFramWrite(DCtx *st, std::uint16_t addr)
 {
@@ -432,8 +433,8 @@ dynClassify(DCtx *st, std::uint16_t addr)
         ++st->acc[kAccData];
 }
 
-/** Dynamic-address load with full accounting (FastMem::read8/read16;
- *  the caller pre-checked the address lies in SRAM/FRAM). */
+/** Dynamic-address load with the bus's full accounting (the caller
+ *  pre-checked the address lies in SRAM/FRAM). */
 inline std::uint32_t
 dynLoad(DCtx *st, std::uint16_t addr, bool byte)
 {
@@ -454,8 +455,8 @@ dynLoad(DCtx *st, std::uint16_t addr, bool byte)
             << 8);
 }
 
-/** Store-side invalidation duties (FastMem::noteStore): predecode
- *  3-slot drop, page-generation bump, own-block SMC detection. */
+/** Store-side invalidation duties: predecode 3-slot drop (as the bus
+ *  does), page-generation bump, own-block SMC detection. */
 inline void
 dynNoteStore(DCtx *st, std::uint16_t addr, unsigned nbytes)
 {
@@ -469,7 +470,7 @@ dynNoteStore(DCtx *st, std::uint16_t addr, unsigned nbytes)
         st->smc = true;
 }
 
-/** Dynamic-address store with full accounting (FastMem::write8/16). */
+/** Dynamic-address store with the bus's full accounting. */
 inline void
 dynStore(DCtx *st, std::uint16_t addr, std::uint32_t value, bool byte)
 {
@@ -490,7 +491,7 @@ dynStore(DCtx *st, std::uint16_t addr, std::uint32_t value, bool byte)
 }
 
 /**
- * FastMem-equivalent memory policy over DCtx for the generic kernel's
+ * Bus-equivalent memory policy over DCtx for the generic kernel's
  * ExecCore, so instructions with no specialized kernel still run the
  * single-sourced semantics with identical accounting.
  */
@@ -761,8 +762,8 @@ kernCallImm(DCtx *st, TOp *op)
     return st->smc ? 2 : 0;
 }
 
-/** Everything else: the shared ExecCore over the FastMem-equivalent
- *  shim, with the superblock tier's exact per-instruction protocol. */
+/** Everything else: the shared ExecCore over the bus-equivalent shim,
+ *  pre-checking register-dependent operands like the other kernels. */
 SWAPRAM_INLINE int
 kernGeneric(DCtx *st, TOp *op, ExecCore<ShimMem> &core)
 {
@@ -1266,7 +1267,7 @@ void *
 ThreadedEngine::advanceChain(void *p)
 {
     DCtx &st = *static_cast<DCtx *>(p);
-    const SuperblockEngine::ChainLimits &limits = *st.limits;
+    const ChainLimits &limits = *st.limits;
 
     // The next block: the last block's successor link when it is still
     // live and valid, else the block table (which relinks it).
@@ -1282,10 +1283,10 @@ ThreadedEngine::advanceChain(void *p)
             prev->link(pc, block, sb_.replacements());
     }
 
-    // Same boundary discipline as the superblock tier: a block only
-    // runs when its worst-case cycle bound provably keeps every
-    // intermediate step short of the run loop's per-step checks
-    // (max_cycles, fault injection, timer delivery).
+    // Boundary discipline: a block only runs when its worst-case cycle
+    // bound provably keeps every intermediate step short of the run
+    // loop's per-step checks (max_cycles, fault injection, timer
+    // delivery).
     const std::uint64_t now = limits.now + st.acc[kAccBase] + st.acc[kAccStall];
     const std::uint64_t bound = block->worst_case_cycles;
     if (now + bound >= limits.limit_cycles) {
@@ -1304,6 +1305,12 @@ ThreadedEngine::advanceChain(void *p)
             }
         } else if (block->writes_sr &&
                    (pending || now + bound >= limits.timer_fire)) {
+            // GIE is clear, but the block could set it while the timer
+            // is (or becomes) due: let the oracle sequence it. (The
+            // fire cycle is fixed until delivery and time is monotone,
+            // so pending-ness at the next oracle check recomputes to
+            // exactly the sticky flag the per-step path would have
+            // kept.)
             ++stats_.threaded_bail_boundary;
             return nullptr;
         }
@@ -1346,8 +1353,8 @@ ThreadedEngine::advanceChain(void *p)
     return st.cur_ops;
 }
 
-SuperblockEngine::ChainResult
-ThreadedEngine::runChain(const SuperblockEngine::ChainLimits &limits)
+ThreadedEngine::ChainResult
+ThreadedEngine::runChain(const ChainLimits &limits)
 {
     // A chain that ended in a thrown fatal left its entry counts.
     for (const std::shared_ptr<ThreadedCode> &code : chain_codes_)
@@ -1458,7 +1465,8 @@ ThreadedEngine::runChain(const SuperblockEngine::ChainLimits &limits)
             stats_.instr_by_owner[i] += st.acc[kAccOwner0 + i];
         stats_.threaded_instructions += total;
     }
-    return {total, st.acc[kAccBase] + st.acc[kAccStall]};
+    return {total, st.acc[kAccBase] + st.acc[kAccStall],
+            st.bail_kind == 1};
 }
 
 } // namespace swapram::sim
@@ -1486,10 +1494,10 @@ ThreadedEngine::lower(SuperblockEngine::Block &)
 {
 }
 
-SuperblockEngine::ChainResult
-ThreadedEngine::runChain(const SuperblockEngine::ChainLimits &)
+ThreadedEngine::ChainResult
+ThreadedEngine::runChain(const ChainLimits &)
 {
-    return {0, 0};
+    return {};
 }
 
 void *

@@ -1,10 +1,10 @@
 /**
  * @file
- * Threaded-code execution tier: hot superblocks are lowered, once, to
- * computed-goto threaded code over pre-resolved operand closures, then
- * executed as an indirect-goto chain — no per-instruction decode, no
- * block-stepped interpreter loop, one live accumulator for the whole
- * chain.
+ * Threaded-code execution tier, the simulator's one fast tier: hot
+ * superblocks are lowered, once, to computed-goto threaded code over
+ * pre-resolved operand closures, then executed as an indirect-goto
+ * chain — no per-instruction decode, one live accumulator for the
+ * whole chain.
  *
  * Lowering happens lazily at first dispatch of a (already built and
  * validated) superblock. Each instruction is resolved to a specialized
@@ -21,11 +21,12 @@
  *     two 8-byte lines; the followers are guaranteed hits with zero
  *     stall and fold into the static totals);
  *   - register-dependent operands keep an inline mapped-space pre-check
- *     and fully dynamic accounting, exactly mirroring the superblock
- *     tier's FastMem model.
+ *     and fully dynamic accounting (the dyn* helpers in threaded.cc),
+ *     which replays the bus's region counting, code/data
+ *     classification and FRAM timing model exactly.
  * Whatever does not fit a specialized kernel runs a generic kernel:
- * the shared ExecCore template over a FastMem-equivalent shim, so the
- * semantics stay single-sourced.
+ * the shared ExecCore template over a memory policy built from those
+ * same helpers, so the semantics stay single-sourced.
  *
  * Block transitions cost a handful of compares. A block entry adds
  * only its static base and stall cycles (the boundary guards read
@@ -36,7 +37,7 @@
  * next block comes from the last block's two successor links, tagged
  * with the block table's slot-replacement count, before the table
  * itself; either way it is revalidated (usually one code-epoch compare,
- * see sim/pagegen.hh). Every superblock bail-out is preserved as a
+ * see sim/pagegen.hh). Every case the fast path cannot reproduce is a
  * guard back to the oracle:
  *   - dyn-operand MMIO/unmapped pre-check (nothing committed);
  *   - own-block SMC via the shared page-generation table (committed,
@@ -46,10 +47,11 @@
  *     boundaries and checkpoint probe PCs; profilers and metrics
  *     force the oracle entirely.
  *
- * The tier requires the GNU computed-goto extension; without it the
- * Machine silently falls back to the superblock tier (available()).
- * Simulated results are bit-identical across all three tiers — the
- * differential fuzz twins and the golden matrix pin this.
+ * The tier requires the GNU computed-goto extension (available()) and
+ * stall costs that fit its 16-bit op fields; without either, the
+ * Machine runs every instruction on the predecode oracle. Simulated
+ * results are bit-identical either way — the differential fuzz twins
+ * and the golden matrix pin this.
  */
 
 #ifndef SWAPRAM_SIM_THREADED_HH
@@ -108,14 +110,45 @@ class ThreadedEngine
         recovery_end_ = end;
     }
 
+    /** Cycle boundaries a chain must respect (Machine's per-step
+     *  run-loop checks, precomputed once per chain). */
+    struct ChainLimits {
+        /** Stats::totalCycles() at chain entry. */
+        std::uint64_t now = 0;
+        /** Blocks must end strictly below this total-cycle count —
+         *  min(max_cycles, next scheduled fault). */
+        std::uint64_t limit_cycles = UINT64_MAX;
+        /** Timer period (0 = no timer) and its pending state. */
+        std::uint64_t timer_period = 0;
+        std::uint64_t timer_fire = 0;
+        bool timer_pending = false;
+        /** A trace engine is attached: stop before a block whose owner
+         *  differs from the entry block's, and before a block starting
+         *  at either probe PC (0 = none), so the Machine emits the
+         *  OwnerChange and checkpoint events between chains. */
+        bool observed = false;
+        std::uint16_t probe_a = 0, probe_b = 0;
+    };
+
+    struct ChainResult {
+        std::uint64_t instructions = 0; ///< retired by the chain
+        std::uint64_t cycles = 0;       ///< base+stall added
+        /** The chain stopped before an instruction whose operand
+         *  leaves SRAM/FRAM: the oracle must step it next. */
+        bool operand_bail = false;
+    };
+
     /**
      * Dispatch consecutive lowered blocks from the current PC until a
-     * bail-out, a missing block, or a cycle boundary — the exact
-     * contract of SuperblockEngine::runChain, at threaded-code speed.
-     * instructions == 0 means the caller must single-step the oracle.
+     * bail-out, a missing block, or a cycle boundary, updating
+     * registers, memory, and Stats exactly as that many oracle steps
+     * would. instructions == 0 means the caller must single-step the
+     * oracle. Chains never cross the recovery-range boundary (every
+     * block's cycles attribute the same way); with a recovery range
+     * set, all retired cycles belong to the entry PC's side. Observed
+     * chains (limits.observed) never cross an owner boundary either.
      */
-    SuperblockEngine::ChainResult
-    runChain(const SuperblockEngine::ChainLimits &limits);
+    ChainResult runChain(const ChainLimits &limits);
 
     /**
      * Block transition inside the dispatch loop: accounts the block

@@ -9,9 +9,9 @@
  *    snapshot, swap-in count, and zero evictions. The cycle totals may
  *    differ (the evict-capable runtime is larger, which moves code),
  *    which is exactly why the golden suite pins them separately.
- *  - Superblock twins: block-stepped dispatch and the single-step
- *    path must agree instruction-for-instruction while thrashing and
- *    while tiling data through the pool.
+ *  - Fast-tier twins: threaded dispatch and the single-step path must
+ *    agree instruction-for-instruction while thrashing and while
+ *    tiling data through the pool.
  *  - Eviction invariants: random fuzz programs and the capacity
  *    workloads run at starvation-sized SRAM; the runner's post-run
  *    verifySwapInvariants() walk (redirect cells point at the FRAM
@@ -105,7 +105,7 @@ TEST(CapacityDifferential, CapacityWorkloadsFitAtLargestSize)
     }
 }
 
-// ---- Superblock twins under capacity pressure ----
+// ---- Fast-tier twins under capacity pressure ----
 
 TEST(CapacitySuperblock, TwinsAgreeWhileThrashingAndTiling)
 {

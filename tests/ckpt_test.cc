@@ -615,7 +615,7 @@ TEST(Harvest, TraceRunsAreDeterministic)
     EXPECT_EQ(a.harvested_pj, b.harvested_pj);
     EXPECT_EQ(a.wall_seconds, b.wall_seconds);
 
-    // The superblock engine only evaluates the injector at block
+    // The threaded tier only evaluates the injector at block
     // boundaries; the brown-outs must still land on the same cycles
     // as the single-step oracle.
     auto c = make(false);

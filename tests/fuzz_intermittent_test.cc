@@ -114,18 +114,14 @@ fuzzOneSeed(std::uint32_t seed, Convergence &tally,
         }
         for (const sim::FaultPlan &plan :
              schedulesFor(ref.stats.totalCycles(), seed)) {
-            // Each faulted run goes in three times: threaded-code
-            // dispatch, block-stepped superblock dispatch, single-step
-            // oracle. All must converge, and because the injector
-            // bounds every dispatched block, the failures must land
-            // on the same cycles — identical reboot/cycle counts.
+            // Each faulted run goes in twice: threaded-code dispatch
+            // and the single-step oracle. Both must converge, and
+            // because the injector bounds every dispatched block, the
+            // failures must land on the same cycles — identical
+            // reboot/cycle counts.
             harness::RunSpec faulted = ref_specs[s];
             faulted.intermittent.plan = plan;
             faulted.superblock = true;
-            faulted.threaded = true;
-            faulted_specs.push_back(faulted);
-            ref_of.push_back(s);
-            faulted.threaded = false;
             faulted_specs.push_back(faulted);
             ref_of.push_back(s);
             faulted.superblock = false;
@@ -147,24 +143,19 @@ fuzzOneSeed(std::uint32_t seed, Convergence &tally,
             << " plan kind "
             << static_cast<int>(faulted_specs[i].intermittent.plan.kind)
             << " superblock " << faulted_specs[i].superblock
-            << " threaded " << faulted_specs[i].threaded
             << ": done=" << got.done << " checksum " << got.checksum
             << " vs " << ref.checksum << " console '" << got.console
             << "' vs '" << ref.console << "'";
-        // Triplet layout: [threaded, block-stepped, oracle]. The
-        // threaded run leads and the other two diff against it.
-        if (faulted_specs[i].threaded) {
+        // Pair layout: [threaded, oracle]. The threaded run leads and
+        // the oracle diffs against it.
+        if (faulted_specs[i].superblock) {
             ++tally.faulted_runs;
             tally.reboots += got.stats.reboots;
             continue;
         }
-        const harness::Metrics &on =
-            outcomes[faulted_specs[i].superblock ? i - 1 : i - 2]
-                .metrics;
+        const harness::Metrics &on = outcomes[i - 1].metrics;
         std::string ctx = "seed " + std::to_string(seed) +
-                          " tier twin divergence (superblock " +
-                          std::to_string(faulted_specs[i].superblock) +
-                          "), system " +
+                          " tier twin divergence, system " +
                           harness::systemName(faulted_specs[i].system);
         EXPECT_EQ(on.stats.reboots, got.stats.reboots) << ctx;
         EXPECT_EQ(on.stats.instructions, got.stats.instructions) << ctx;

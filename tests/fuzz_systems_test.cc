@@ -55,9 +55,9 @@ expectTierStatsEqual(const harness::Metrics &a,
     EXPECT_EQ(a.stats.interrupts, b.stats.interrupts) << ctx;
 }
 
-/** One fuzz seed across all systems/geometries, each run three ways:
- *  threaded-code dispatch, block-stepped superblock dispatch, and the
- *  always-decode single-step oracle (predecode off too). */
+/** One fuzz seed across all systems/geometries, each run two ways:
+ *  threaded-code dispatch and the always-decode single-step oracle
+ *  (predecode off too). */
 void
 fuzzSystemsSeed(std::uint32_t seed)
 {
@@ -106,23 +106,15 @@ fuzzSystemsSeed(std::uint32_t seed)
         notes.push_back("block slots " + std::to_string(slots));
     }
 
-    // Tier differential: every run three ways — threaded-code
-    // dispatch, block-stepped superblock dispatch, and the
-    // always-decode single-step oracle. All three must produce
+    // Tier differential: every run two ways — threaded-code dispatch
+    // and the always-decode single-step oracle. Both must produce
     // byte-identical results on code shapes the curated workloads
     // never exercise.
     const std::size_t n = specs.size();
     for (std::size_t i = 0; i < n; ++i) {
         specs[i].superblock = true;
-        specs[i].threaded = true;
-        harness::RunSpec blockstep = specs[i];
-        blockstep.threaded = false;
-        specs.push_back(blockstep);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
         harness::RunSpec oracle = specs[i];
         oracle.superblock = false;
-        oracle.threaded = false;
         oracle.predecode = false;
         specs.push_back(oracle);
     }
@@ -151,13 +143,8 @@ fuzzSystemsSeed(std::uint32_t seed)
             "seed " + std::to_string(seed) + " " + notes[i];
         ASSERT_TRUE(outcomes[n + i].ok())
             << base_ctx << ": " << outcomes[n + i].error_text;
-        ASSERT_TRUE(outcomes[2 * n + i].ok())
-            << base_ctx << ": " << outcomes[2 * n + i].error_text;
         const harness::Metrics &threaded = outcomes[i].metrics;
-        const harness::Metrics &blockstep = outcomes[n + i].metrics;
-        const harness::Metrics &oracle = outcomes[2 * n + i].metrics;
-        expectTierStatsEqual(threaded, blockstep,
-                             base_ctx + " threaded vs block-stepped");
+        const harness::Metrics &oracle = outcomes[n + i].metrics;
         expectTierStatsEqual(threaded, oracle,
                              base_ctx + " threaded vs oracle");
     }

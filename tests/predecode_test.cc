@@ -25,8 +25,8 @@ withPredecode(bool enabled)
 {
     sim::MachineConfig config;
     config.predecode_enabled = enabled;
-    // These tests assert the per-step predecode counters; superblock
-    // dispatch (tested separately in superblock_test.cc) retires most
+    // These tests assert the per-step predecode counters; the threaded
+    // tier (tested separately in threaded_test.cc) retires most
     // instructions without consulting the predecode cache.
     config.superblock_enabled = false;
     return config;

@@ -350,10 +350,18 @@ TEST(RunReport, JsonRoundTripsAndMatchesMetrics)
     EXPECT_TRUE(doc["done"].asBool());
     EXPECT_EQ(doc["stats"]["total_cycles"].asInt(),
               static_cast<std::int64_t>(m.stats.totalCycles()));
-    EXPECT_EQ(doc["stats"]["superblock_dispatches"].asInt(),
-              static_cast<std::int64_t>(m.stats.superblock_dispatches));
-    EXPECT_EQ(doc["stats"]["superblock_instructions"].asInt(),
-              static_cast<std::int64_t>(m.stats.superblock_instructions));
+    EXPECT_EQ(doc["stats"]["superblock_blocks_built"].asInt(),
+              static_cast<std::int64_t>(m.stats.superblock_blocks_built));
+    EXPECT_EQ(doc["stats"]["superblock_invalidations"].asInt(),
+              static_cast<std::int64_t>(m.stats.superblock_invalidations));
+    // Counters of the retired block-stepped dispatcher are not
+    // reported.
+    const json::Object &stats = doc["stats"].asObject();
+    for (const char *key :
+         {"superblock_dispatches", "superblock_instructions",
+          "superblock_bail_operand", "superblock_bail_smc",
+          "superblock_bail_boundary"})
+        EXPECT_EQ(stats.count(key), 0u) << key;
     EXPECT_EQ(doc["stats"]["threaded_dispatches"].asInt(),
               static_cast<std::int64_t>(m.stats.threaded_dispatches));
     EXPECT_EQ(doc["stats"]["threaded_instructions"].asInt(),

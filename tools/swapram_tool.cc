@@ -36,14 +36,11 @@
  *   --policy queue|stack     SwapRAM replacement structure
  *   --blacklist f1,f2        functions excluded from caching
  *   --listing                print the address-annotated listing
- *   --no-superblock          disable block-stepped dispatch; execute
+ *   --no-superblock          disable the threaded fast tier; execute
  *                            on the single-step (predecode) path.
  *                            Simulated results are identical either
  *                            way — this exists for conformance runs
  *                            and host-performance comparisons.
- *   --no-threaded            disable threaded-code dispatch; hot
- *                            blocks stay on block-stepped superblock
- *                            dispatch (same conformance contract)
  *
  * Observability options (run/profile/trace):
  *   --json                   emit a swapram-run-report/v1 JSON document
@@ -176,7 +173,6 @@ struct Args {
     bool listing = false;
     bool json = false;
     bool no_superblock = false; ///< force single-step/predecode path
-    bool no_threaded = false;   ///< force block-stepped dispatch
     bool disasm = false;
     std::uint32_t trace_categories = trace::kCatNone;
     std::string trace_out;
@@ -227,7 +223,6 @@ usage()
         "         --policy queue|stack   --blacklist f1,f2\n"
         "         --func NAME (disasm)   --listing   --json\n"
         "         --no-superblock (single-step execution engine)\n"
-        "         --no-threaded (block-stepped superblock dispatch)\n"
         "         --trace-categories LIST   --trace-out FILE\n"
         "         --trace-format text|csv|chrome   --trace-limit N\n"
         "         --disasm\n"
@@ -365,8 +360,6 @@ parseArgs(int argc, char **argv)
             args.json = true;
         } else if (a == "--no-superblock") {
             args.no_superblock = true;
-        } else if (a == "--no-threaded") {
-            args.no_threaded = true;
         } else if (a == "--disasm") {
             args.disasm = true;
         } else if (a == "--trace-categories") {
@@ -661,7 +654,6 @@ runMatrix(const std::vector<harness::MatrixCell> &matrix,
         spec.swap = args.swap;
         spec.block = args.block;
         spec.superblock = !args.no_superblock;
-        spec.threaded = !args.no_threaded && spec.threaded;
         spec.observe.metrics = args.metrics;
         specs.push_back(spec);
     }
@@ -919,7 +911,6 @@ cmdRunMany(const Args &args)
         spec.swap.boot_recovery = !args.no_recovery;
         spec.block.boot_recovery = !args.no_recovery;
         spec.superblock = !args.no_superblock;
-        spec.threaded = !args.no_threaded && spec.threaded;
         spec.observe.swap_timeline =
             args.system != harness::System::Baseline;
         spec.observe.metrics = args.metrics;
@@ -1101,7 +1092,6 @@ cmdRun(const Args &args_in)
     spec.swap.boot_recovery = !args.no_recovery;
     spec.block.boot_recovery = !args.no_recovery;
     spec.superblock = !args.no_superblock;
-    spec.threaded = !args.no_threaded && spec.threaded;
     applyCkptScheme(spec, run_scheme, args);
     spec.intermittent.livelock_boots = args.livelock_boots;
     if (!args.harvest_traces.empty()) {
@@ -1309,7 +1299,6 @@ faultCampaign(const Args &args_in, support::json::Array *docs)
         spec.swap.boot_recovery = !args.no_recovery;
         spec.block.boot_recovery = !args.no_recovery;
         spec.superblock = !args.no_superblock;
-        spec.threaded = !args.no_threaded && spec.threaded;
         applyCkptScheme(spec, scheme, args);
         return spec;
     };
@@ -1729,7 +1718,6 @@ cmdHeatmap(const Args &args)
     spec.swap.boot_recovery = !args.no_recovery;
     spec.block.boot_recovery = !args.no_recovery;
     spec.superblock = !args.no_superblock;
-    spec.threaded = !args.no_threaded && spec.threaded;
     spec.observe.metrics = true;
 
     harness::Metrics m = harness::runOne(spec);
