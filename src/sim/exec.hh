@@ -7,9 +7,10 @@
  *   - ExecCore<Bus>: the single-step oracle (sim/cpu.cc), where each
  *     access pays full bus dispatch (region routing, MMIO devices,
  *     stall accounting, trace emission);
- *   - ExecCore<superblock FastMem>: the block fast path, where accesses
- *     are pre-checked to hit plain SRAM/FRAM and go straight to the
- *     flat memory array with inlined accounting.
+ *   - ExecCore<ShimMem> (sim/threaded.cc): the threaded tier's generic
+ *     kernel, for instructions with no specialized kernel; accesses are
+ *     pre-checked to hit plain SRAM/FRAM and go straight to the flat
+ *     memory array with inlined accounting.
  * Because both paths run the same template, semantic equivalence is by
  * construction — the differential suites then pin the accounting.
  *

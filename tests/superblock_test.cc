@@ -1,11 +1,14 @@
 /**
  * @file
- * Superblock engine tests. The engine is a host-side optimization
- * only: every simulated observable — registers, memory, checksums,
- * cycle/stall counts, per-region access counts, interrupt and reboot
- * cycles — must be bit-identical with the engine on or off (the
- * single-step path is the oracle). The host-side superblock_* and
- * predecode hit/miss counters are the only permitted divergence.
+ * Superblock block-table tests. SuperblockEngine builds, looks up and
+ * validates the straight-line blocks the threaded tier lowers from;
+ * it no longer executes them itself. These tests pin that contract on
+ * the programs that used to exercise block-stepped dispatch:
+ *
+ *  - the fast tier (block table + threaded chains) matches the
+ *    single-step oracle in every simulated observable;
+ *  - with superblock_enabled off, every instruction runs on the
+ *    oracle and no block is built.
  */
 
 #include <gtest/gtest.h>
@@ -24,22 +27,19 @@ namespace {
 using namespace swapram;
 using isa::Reg;
 
+/** The fast tier (@p fast true) or the single-step oracle. */
 sim::MachineConfig
-withSuperblock(bool enabled)
+withFastTier(bool fast)
 {
     sim::MachineConfig config;
-    config.superblock_enabled = enabled;
-    // This suite pins the *block-stepped* dispatcher and its counter
-    // family; the threaded tier (which replaces it when enabled) has
-    // its own suite in threaded_test.cc.
-    config.threaded_enabled = false;
+    config.superblock_enabled = fast;
     return config;
 }
 
 /** Every simulated Stats field (host-side fast-path counters — the
- *  predecode hit/miss and superblock_* families — excluded; the
- *  predecode *invalidation* count tracks the write stream, which is
- *  identical in both modes, so it is compared). */
+ *  predecode hit/miss, superblock_* and threaded_* families —
+ *  excluded; the predecode *invalidation* count tracks the write
+ *  stream, which is identical in both modes, so it is compared). */
 void
 expectSimStatsEqual(const sim::Stats &a, const sim::Stats &b,
                     const std::string &ctx)
@@ -70,13 +70,22 @@ expectSimStatsEqual(const sim::Stats &a, const sim::Stats &b,
         << ctx;
 }
 
+/** The oracle run built no block and retired nothing outside
+ *  single-step. */
+void
+expectOracleOnly(const sim::Stats &s, const std::string &ctx)
+{
+    EXPECT_EQ(s.superblock_blocks_built, 0u) << ctx;
+    EXPECT_EQ(s.threaded_dispatches, 0u) << ctx;
+    EXPECT_EQ(s.threaded_instructions, 0u) << ctx;
+}
+
 /**
  * Within-block self-modification: the store lands on the *next*
  * instruction of the same straight-line block (patching ADD #1 into
  * ADD #2 — both constant-generator encodings — before it executes).
- * The oracle refetches and sees the patched word; the engine must
- * stop after the committed store and hand over, not execute its
- * stale decode.
+ * The oracle refetches and sees the patched word; the block the table
+ * handed out is stale after the store and must not run on.
  */
 const char kSmcBody[] =
     "        MOV #0, R12\n"
@@ -88,20 +97,21 @@ const char kSmcBody[] =
 
 TEST(Superblock, SelfModifyingStoreInOwnBlockMatchesOracle)
 {
-    test::MiniRun on = test::runBody(kSmcBody, withSuperblock(true));
-    test::MiniRun off = test::runBody(kSmcBody, withSuperblock(false));
+    test::MiniRun on = test::runBody(kSmcBody, withFastTier(true));
+    test::MiniRun off = test::runBody(kSmcBody, withFastTier(false));
     ASSERT_TRUE(on.result.done);
     ASSERT_TRUE(off.result.done);
     EXPECT_EQ(on.reg(Reg::R12), 2) << "stale block decode executed";
     EXPECT_EQ(off.reg(Reg::R12), 2);
     expectSimStatsEqual(on.stats(), off.stats(), "smc");
-    EXPECT_GT(on.stats().superblock_bail_smc, 0u);
-    EXPECT_EQ(off.stats().superblock_dispatches, 0u);
+    EXPECT_GT(on.stats().superblock_blocks_built, 0u);
+    EXPECT_GT(on.stats().threaded_bail_smc, 0u);
+    expectOracleOnly(off.stats(), "smc oracle");
 }
 
 /** A register-dependent store into MMIO space: the address pre-check
  *  must bail to the oracle with nothing committed, so the device sees
- *  exactly one write and the console streams match. */
+ *  exactly one write per iteration and the console streams match. */
 const char kDynMmioBody[] =
     "        MOV #0x0100, R7\n" // console register, via register
     "        MOV #65, R6\n"
@@ -113,19 +123,19 @@ const char kDynMmioBody[] =
 
 TEST(Superblock, DynamicMmioOperandBailsToOracle)
 {
-    test::MiniRun on = test::runBody(kDynMmioBody, withSuperblock(true));
-    test::MiniRun off =
-        test::runBody(kDynMmioBody, withSuperblock(false));
+    test::MiniRun on = test::runBody(kDynMmioBody, withFastTier(true));
+    test::MiniRun off = test::runBody(kDynMmioBody, withFastTier(false));
     ASSERT_TRUE(on.result.done);
+    ASSERT_TRUE(off.result.done);
     EXPECT_EQ(on.machine->mmio().console(), "ABC");
     EXPECT_EQ(off.machine->mmio().console(), "ABC");
     expectSimStatsEqual(on.stats(), off.stats(), "dyn-mmio");
-    EXPECT_GT(on.stats().superblock_bail_operand, 0u);
+    EXPECT_GT(on.stats().threaded_bail_operand, 0u);
+    expectOracleOnly(off.stats(), "dyn-mmio oracle");
 }
 
-/** Timer interrupts must land on exactly the same cycle: the engine
- *  refuses any block whose worst-case bound could reach the fire
- *  cycle, single-stepping across it instead. */
+/** Timer interrupts must land on exactly the same cycle: no block may
+ *  run across the fire cycle, whichever tier consumes it. */
 const char *kTimerProgram = R"(
         .text
 __start:
@@ -158,8 +168,8 @@ fg_acc:     .word 0
 TEST(Superblock, TimerInterruptsLandOnSameCycle)
 {
     for (std::uint64_t period : {97ull, 500ull, 1024ull}) {
-        sim::MachineConfig on_cfg = withSuperblock(true);
-        sim::MachineConfig off_cfg = withSuperblock(false);
+        sim::MachineConfig on_cfg = withFastTier(true);
+        sim::MachineConfig off_cfg = withFastTier(false);
         on_cfg.timer_period_cycles = period;
         off_cfg.timer_period_cycles = period;
         test::MiniRun on = test::runSource(kTimerProgram, on_cfg);
@@ -170,6 +180,8 @@ TEST(Superblock, TimerInterruptsLandOnSameCycle)
         EXPECT_GT(on.stats().interrupts, 0u) << ctx;
         EXPECT_EQ(on.reg(Reg::R12), off.reg(Reg::R12)) << ctx;
         expectSimStatsEqual(on.stats(), off.stats(), ctx);
+        EXPECT_GT(on.stats().superblock_blocks_built, 0u) << ctx;
+        expectOracleOnly(off.stats(), ctx + " oracle");
     }
 }
 
@@ -201,12 +213,12 @@ struct FaultRun {
 };
 
 FaultRun
-runFaulted(bool superblock)
+runFaulted(bool fast)
 {
     masm::LayoutSpec layout;
     layout.data_base = 0x9000;
     auto assembled = masm::assemble(masm::parse(kFaultProgram), layout);
-    sim::Machine machine(withSuperblock(superblock));
+    sim::Machine machine(withFastTier(fast));
     machine.load(assembled.image, 0x3000);
     sim::FaultPlan plan = sim::FaultPlan::periodic(900, 5);
     sim::FaultInjector injector(plan);
@@ -222,13 +234,15 @@ TEST(Superblock, InjectedFaultsLandOnSameCycle)
     FaultRun on = runFaulted(true);
     FaultRun off = runFaulted(false);
     EXPECT_EQ(on.stats.reboots, 5u);
-    EXPECT_GT(on.stats.superblock_dispatches, 0u);
+    EXPECT_GT(on.stats.superblock_blocks_built, 0u);
     expectSimStatsEqual(on.stats, off.stats, "fault");
     EXPECT_EQ(on.acc, off.acc);
     EXPECT_EQ(on.mix, off.mix);
+    expectOracleOnly(off.stats, "fault oracle");
 }
 
-/** The host-side counters exist and are coherent on a plain run. */
+/** The block-table counters are coherent on a plain run: every
+ *  instruction retired off the oracle came from a built block. */
 TEST(Superblock, CountersAccountForBlockCoverage)
 {
     const char body[] =
@@ -237,20 +251,27 @@ TEST(Superblock, CountersAccountForBlockCoverage)
         "        XOR R11, R12\n"
         "        DEC R10\n"
         "        JNZ cloop\n";
-    test::MiniRun run = test::runBody(body, withSuperblock(true));
-    ASSERT_TRUE(run.result.done);
-    const sim::Stats &s = run.stats();
+    test::MiniRun on = test::runBody(body, withFastTier(true));
+    ASSERT_TRUE(on.result.done);
+    const sim::Stats &s = on.stats();
     EXPECT_GT(s.superblock_blocks_built, 0u);
-    EXPECT_GT(s.superblock_dispatches, 0u);
-    EXPECT_GT(s.superblock_instructions, 0u);
-    EXPECT_LE(s.superblock_instructions, s.instructions);
-    // The loop dominates: most instructions retire in block mode.
-    EXPECT_GT(s.superblock_instructions, s.instructions / 2);
+    // No code page is written: nothing goes stale.
+    EXPECT_EQ(s.superblock_invalidations, 0u);
+    // Every lowered block was first built by the table.
+    EXPECT_LE(s.threaded_blocks_lowered, s.superblock_blocks_built);
+    EXPECT_LE(s.threaded_instructions, s.instructions);
+    // The loop dominates: most instructions retire from built blocks.
+    EXPECT_GT(s.threaded_instructions, s.instructions / 2);
+
+    test::MiniRun off = test::runBody(body, withFastTier(false));
+    ASSERT_TRUE(off.result.done);
+    expectOracleOnly(off.stats(), "counters oracle");
+    expectSimStatsEqual(s, off.stats(), "counters");
 }
 
-/** Full differential sweep: every workload under every system,
- *  superblock on vs off, must agree on all simulated observables
- *  (the exact analogue of the predecode matrix test). */
+/** Full differential sweep: every workload under every system, run
+ *  through the harness with RunSpec::superblock on and off, must agree
+ *  on all simulated observables; the off leg builds no block. */
 TEST(Superblock, FullMatrixMatchesSingleStepOracle)
 {
     const harness::System systems[] = {harness::System::Baseline,
@@ -285,6 +306,8 @@ TEST(Superblock, FullMatrixMatchesSingleStepOracle)
         EXPECT_EQ(on.console, off.console) << key;
         EXPECT_EQ(on.energy_pj, off.energy_pj) << key;
         expectSimStatsEqual(on.stats, off.stats, key);
+        EXPECT_GT(on.stats.superblock_blocks_built, 0u) << key;
+        expectOracleOnly(off.stats, key + " oracle");
     }
 }
 
