@@ -238,18 +238,6 @@ histogramJson(const metrics::Histogram &h)
     };
 }
 
-const char *
-regionName(std::uint16_t base)
-{
-    switch (sim::regionOf(base)) {
-      case sim::RegionKind::Sram: return "sram";
-      case sim::RegionKind::Fram: return "fram";
-      case sim::RegionKind::Mmio: return "mmio";
-      case sim::RegionKind::Unmapped: break;
-    }
-    return "unmapped";
-}
-
 json::Value
 pageCountsJson(const metrics::AddressHeatmap::Page &p)
 {
@@ -299,6 +287,18 @@ heatmapJson(const metrics::AddressHeatmap &hm)
 }
 
 } // namespace
+
+const char *
+regionName(std::uint16_t base)
+{
+    switch (sim::regionOf(base)) {
+      case sim::RegionKind::Sram: return "sram";
+      case sim::RegionKind::Fram: return "fram";
+      case sim::RegionKind::Mmio: return "mmio";
+      case sim::RegionKind::Unmapped: break;
+    }
+    return "unmapped";
+}
 
 json::Value
 metricsJson(const metrics::RunMetrics &rm)

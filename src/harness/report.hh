@@ -61,6 +61,10 @@ std::string geoMeanDelta(const std::vector<double> &ratios);
  */
 support::json::Value metricsJson(const metrics::RunMetrics &rm);
 
+/** The name ("sram", "fram", "mmio" or "unmapped") of the platform
+ *  region holding @p base — how heatmap pages are classified. */
+const char *regionName(std::uint16_t base);
+
 /**
  * Everything one run produced, in serializable form: the configuration
  * that was run plus the Metrics it yielded. Build with make(), then

@@ -78,15 +78,15 @@ class Bus
      *  detaches. Not owned. */
     void setPredecode(PredecodeCache *cache) { predecode_ = cache; }
 
-    /** Attach the superblock engine's write-generation table so oracle
+    /** Attach the fast tier's write-generation table so oracle
      *  stores invalidate blocks exactly like fast-path stores; nullptr
      *  detaches. Not owned. */
     void setPageGens(PageGenTable *gens) { page_gens_ = gens; }
 
     HwCache &hwCache() { return hw_cache_; }
 
-    /** Code-space classification range (mirrored by the superblock
-     *  fast path's accounting). */
+    /** Code-space classification range (mirrored by the fast tier's
+     *  accounting). */
     std::uint16_t codeBase() const { return code_base_; }
     std::uint32_t codeEnd() const { return code_end_; }
 

@@ -61,7 +61,7 @@ class Cpu
         regs_[isa::regIndex(r)] = v;
     }
 
-    /** The raw register file. The superblock engine executes directly
+    /** The raw register file. The threaded fast tier executes directly
      *  on it (sharing ExecCore with step()); everyone else should use
      *  reg()/setReg(). */
     std::array<std::uint16_t, 16> &regs() { return regs_; }

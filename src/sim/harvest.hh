@@ -9,7 +9,7 @@
  *
  * The crux of the design is *evaluation-point independence*: the
  * stored-energy function must be a pure function of (Stats, wall time)
- * so that the superblock engine — which only evaluates the injector at
+ * so that the threaded fast tier — which only evaluates the injector at
  * block boundaries — sees exactly the same brown-out instruction as
  * the single-step oracle. Consumption is a step function that changes
  * only at instruction boundaries and harvest inflow is monotonic, so

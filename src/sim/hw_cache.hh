@@ -30,7 +30,7 @@ class HwCache
      * @return true on hit.
      *
      * Inline: this sits on the per-access hot path of both the bus and
-     * the superblock fast path.
+     * the threaded fast tier.
      */
     bool
     access(std::uint16_t addr)

@@ -51,25 +51,21 @@ Machine::Machine(const MachineConfig &config)
         cpu_.setPredecode(predecode_.get());
         bus_.setPredecode(predecode_.get());
     }
-    // The fast tier: the block table and the threaded engine that
-    // lowers from it, built together or not at all. Lowered ops carry
-    // per-access stall costs in 16-bit fields, and the same bound keeps
-    // the u32 per-block totals and Block::worst_case_cycles (at most 32
-    // instructions × 6 accesses × 0xFFFF) from overflowing, so a config
-    // whose stalls do not fit runs every instruction on the oracle.
+    // The fast tier. Lowered ops carry per-access stall costs in 16-bit
+    // fields, and the same bound keeps the u32 per-block totals and
+    // worst-case cycle bounds (at most 32 instructions × 6 accesses ×
+    // 0xFFFF) from overflowing, so a config whose stalls do not fit
+    // runs every instruction on the oracle.
     const bool stalls_fit = config_.effectiveWaitStates() <= 0xFFFF &&
                             config_.contention_stall <= 0xFFFF;
     if (config_.superblock_enabled && config_.threaded_enabled &&
         stalls_fit && ThreadedEngine::available()) {
-        superblock_ = std::make_unique<SuperblockEngine>(
-            memory_, bus_, stats_, config_);
-        superblock_->setClassifier([this](std::uint16_t pc) {
-            return static_cast<std::uint8_t>(classifyPc(pc));
-        });
-        bus_.setPageGens(&superblock_->pageGens());
         threaded_ = std::make_unique<ThreadedEngine>(
-            cpu_, memory_, bus_, stats_, config_, *superblock_);
-        threaded_->setPredecode(predecode_.get());
+            cpu_, memory_, bus_, stats_, config_, predecode_.get(),
+            [this](std::uint16_t pc) {
+                return static_cast<std::uint8_t>(classifyPc(pc));
+            });
+        bus_.setPageGens(&threaded_->pageGens());
     }
 }
 
@@ -85,8 +81,8 @@ Machine::load(const masm::Image &image, std::uint16_t stack_top)
     // previously cached decodes are stale.
     if (predecode_)
         predecode_->invalidateAll();
-    if (superblock_)
-        superblock_->invalidateAll();
+    if (threaded_)
+        threaded_->invalidateAll();
 }
 
 void
@@ -126,8 +122,8 @@ Machine::powerCycle()
     // above bypassed the bus, so every cached decode is suspect.
     if (predecode_)
         predecode_->invalidateAll();
-    if (superblock_)
-        superblock_->invalidateAll();
+    if (threaded_)
+        threaded_->invalidateAll();
     mmio_.powerCycle();
     cpu_.reset(image_.entry, stack_top_);
     timer_pending_ = false;
@@ -148,8 +144,8 @@ Machine::addOwnerRange(std::uint16_t base, std::uint32_t end,
 {
     owner_ranges_.push_back({base, end, owner});
     // Blocks pre-attribute instr_by_owner at build time.
-    if (superblock_)
-        superblock_->invalidateAll();
+    if (threaded_)
+        threaded_->invalidateAll();
 }
 
 void
@@ -223,6 +219,28 @@ Machine::interruptObserved(std::uint16_t pc)
     }
 }
 
+bool
+Machine::noteRecovery(std::uint16_t pc, std::uint64_t now)
+{
+    const bool in = pc >= recovery_base_ &&
+                    static_cast<std::uint32_t>(pc) < recovery_end_;
+    if (in == in_recovery_)
+        return in;
+    in_recovery_ = in;
+    if (in)
+        recovery_enter_cycle_ = now;
+    if (trace_ && trace_->wants(trace::kCatPower)) {
+        trace_->emit(
+            {now,
+             in ? trace::EventKind::RecoveryEnter
+                : trace::EventKind::RecoveryExit,
+             0, pc, 0,
+             in ? 0
+                : static_cast<std::uint32_t>(now - recovery_enter_cycle_)});
+    }
+    return in;
+}
+
 void
 Machine::step()
 {
@@ -262,24 +280,7 @@ Machine::step()
     }
     if (recovery_end_) {
         std::uint16_t pc = cpu_.pc();
-        bool in = pc >= recovery_base_ &&
-                  static_cast<std::uint32_t>(pc) < recovery_end_;
-        if (in != in_recovery_) {
-            in_recovery_ = in;
-            std::uint64_t now = stats_.totalCycles();
-            if (in)
-                recovery_enter_cycle_ = now;
-            if (trace_ && trace_->wants(trace::kCatPower)) {
-                trace_->emit({now,
-                              in ? trace::EventKind::RecoveryEnter
-                                 : trace::EventKind::RecoveryExit,
-                              0, pc, 0,
-                              in ? 0
-                                 : static_cast<std::uint32_t>(
-                                       now - recovery_enter_cycle_)});
-            }
-        }
-        if (in) {
+        if (noteRecovery(pc, stats_.totalCycles())) {
             std::uint64_t before = stats_.totalCycles();
             if (trace_ || profiler_)
                 stepObserved(pc, owner);
@@ -330,35 +331,13 @@ Machine::trySuperblock()
             (timer_pending_ || limits.now >= timer_next_fire_) &&
             cpu_.interruptsEnabled())
             return {};
-        if (trace_->wants(trace::kCatPower)) {
-            if (pc == ckpt_commit_entry_ || pc == ckpt_restore_entry_)
-                return {};
-            limits.probe_a = ckpt_commit_entry_;
-            limits.probe_b = ckpt_restore_entry_;
-        }
+        if (trace_->wants(trace::kCatPower) &&
+            (pc == ckpt_commit_entry_ || pc == ckpt_restore_entry_))
+            return {};
         limits.observed = true;
     }
 
-    bool in = false;
-    if (recovery_end_) {
-        in = pc >= recovery_base_ &&
-             static_cast<std::uint32_t>(pc) < recovery_end_;
-        if (in != in_recovery_) {
-            in_recovery_ = in;
-            if (in)
-                recovery_enter_cycle_ = limits.now;
-            if (trace_ && trace_->wants(trace::kCatPower)) {
-                trace_->emit({limits.now,
-                              in ? trace::EventKind::RecoveryEnter
-                                 : trace::EventKind::RecoveryExit,
-                              0, pc, 0,
-                              in ? 0
-                                 : static_cast<std::uint32_t>(
-                                       limits.now -
-                                       recovery_enter_cycle_)});
-            }
-        }
-    }
+    const bool in = recovery_end_ && noteRecovery(pc, limits.now);
     // Stamped before the chain: if it retires nothing, step() runs an
     // instruction (not an interrupt entry) on this same cycle.
     if (trace_)

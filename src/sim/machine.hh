@@ -40,7 +40,6 @@
 #include "sim/mmio.hh"
 #include "sim/predecode.hh"
 #include "sim/stats.hh"
-#include "sim/superblock.hh"
 #include "sim/threaded.hh"
 
 namespace swapram::trace {
@@ -123,8 +122,8 @@ class Machine
         ckpt_commit_entry_ = commit_entry;
         ckpt_restore_entry_ = restore_entry;
         // Observed chains stop at the probes: blocks start there.
-        if (superblock_)
-            superblock_->setProbePcs(commit_entry, restore_entry);
+        if (threaded_)
+            threaded_->setProbePcs(commit_entry, restore_entry);
     }
 
     /** Exclude FRAM [base, end) from the livelock boot watermark.
@@ -141,10 +140,8 @@ class Machine
         recovery_base_ = base;
         recovery_end_ = end;
         // Blocks and chains must not span the attribution boundary.
-        if (superblock_) {
-            superblock_->setRecoveryRange(base, end);
+        if (threaded_)
             threaded_->setRecoveryRange(base, end);
-        }
     }
 
     /**
@@ -193,6 +190,12 @@ class Machine
     void noteOwner(std::uint16_t pc, std::uint8_t owner);
     void interruptObserved(std::uint16_t pc);
 
+    /** Track the PC against the boot-recovery range at cycle @p now:
+     *  on crossing, flip in_recovery_, stamp the entry cycle and emit
+     *  RecoveryEnter/RecoveryExit. Returns whether @p pc is inside.
+     *  Call only with a recovery range set. */
+    bool noteRecovery(std::uint16_t pc, std::uint64_t now);
+
     /**
      * Attempt a threaded chain at the current PC. instructions == 0
      * means the caller must single-step (no block here, a cycle
@@ -215,10 +218,8 @@ class Machine
      *  (write invalidation) wired to the same instance. */
     std::unique_ptr<PredecodeCache> predecode_;
 
-    /** The fast tier: the block table (the bus's write paths share
-     *  its page-generation table) and the threaded engine lowering
-     *  from it. Both null, or both set (see the constructor). */
-    std::unique_ptr<SuperblockEngine> superblock_;
+    /** The fast tier (null when disabled; see the constructor). The
+     *  bus's write paths share its page-generation table. */
     std::unique_ptr<ThreadedEngine> threaded_;
 
     std::uint64_t timer_next_fire_ = 0;

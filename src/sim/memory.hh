@@ -51,7 +51,7 @@ class Memory
     /** Copy all image chunks into the array. */
     void loadImage(const masm::Image &image);
 
-    /** Raw backing span for the superblock fast path. Accesses through
+    /** Raw backing span for the threaded fast tier. Accesses through
      *  it bypass the bus, so the caller owns all accounting and
      *  invalidation duties. */
     std::uint8_t *bytes() { return bytes_.data(); }

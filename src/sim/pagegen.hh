@@ -1,9 +1,9 @@
 /**
  * @file
- * Write-generation table backing superblock invalidation.
+ * Write-generation table backing fast-tier block invalidation.
  *
  * The address space is divided into small pages; every store bumps the
- * generation of the page(s) it touches, and every built superblock
+ * generation of the page(s) it touches, and every built block
  * snapshots the generations of the pages its code spans. A block whose
  * snapshot no longer matches has (conservatively) been overwritten —
  * SwapRAM copy-ins, self-modifying stores, or plain data writes that
@@ -19,7 +19,7 @@
  *
  * This piggybacks on the same write paths that drive the predecode
  * cache's 3-slot invalidation: the Bus calls noteWrite() for oracle
- * accesses, the superblock fast path calls it for direct stores, and
+ * accesses, the threaded fast tier calls it for direct stores, and
  * writers that bypass both (Machine::load, powerCycle's crt0 re-copy)
  * call bumpAll(), which advances a global generation checked first.
  */

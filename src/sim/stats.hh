@@ -75,9 +75,10 @@ struct Stats {
     std::uint64_t predecode_invalidations = 0;
 
     /**
-     * Block table behaviour (host-side only, like the predecode
-     * counters: block coverage never feeds back into simulated timing,
-     * which must be identical with the fast tier disabled).
+     * The threaded fast tier's block table (host-side only, like the
+     * predecode counters: block coverage never feeds back into
+     * simulated timing, which must be identical with the fast tier
+     * disabled). The names predate the tier's single module.
      */
     std::uint64_t superblock_blocks_built = 0; ///< non-empty builds
     /** Cached block found stale (write generations moved) and rebuilt. */
@@ -94,7 +95,9 @@ struct Stats {
      * Threaded-code tier behaviour (host-side only, same contract:
      * simulated results are identical with the tier disabled).
      */
-    std::uint64_t threaded_blocks_lowered = 0; ///< blocks lowered
+    /** Blocks lowered: each build lowers in the same pass, so this
+     *  equals superblock_blocks_built. */
+    std::uint64_t threaded_blocks_lowered = 0;
     std::uint64_t threaded_dispatches = 0;     ///< blocks executed
     std::uint64_t threaded_instructions = 0;   ///< retired threaded
     /** Mid-block stop: an operand resolved to MMIO/unmapped, so the

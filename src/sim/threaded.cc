@@ -1,6 +1,9 @@
 #include "sim/threaded.hh"
 
+#include <utility>
+
 #include "isa/cycles.hh"
+#include "isa/decode.hh"
 #include "sim/exec.hh"
 #include "support/logging.hh"
 #include "support/platform.hh"
@@ -9,6 +12,7 @@
 #if SWAPRAM_THREADED_AVAILABLE
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 namespace swapram::sim {
@@ -22,8 +26,9 @@ using isa::Operand;
  * the static accounting it contributes. Fields are family-specific:
  *   - sp/dp: source/destination cells. For register and immediate
  *     operands these are native uint16_t cells (the register file, or
- *     the op's own `a` field); for static memory operands they point
- *     into the flat simulated memory (little-endian bytes).
+ *     the op's own `a` field, pointed at once the block's op array
+ *     stops growing); for static memory operands they point into the
+ *     flat simulated memory (little-endian bytes).
  *   - a/b: immediate value (the cell sp may point at), jump target,
  *     or the static source/destination address.
  *   - runs/fa0/fa1: dynamic FRAM fetch probes. Three sequential fetch
@@ -35,8 +40,7 @@ using isa::Operand;
  *     FRAM address with the hardware cache on; the line-contention
  *     component of the stall is static (the fetch stream's addresses
  *     are fixed), so both outcomes' stalls are precomputed.
- *   - d_*: this op's share of the block's static totals, subtracted
- *     back on the rare bail-out walk over the unexecuted suffix.
+ * The op's share of the block's static totals sits in its TDelta.
  */
 struct alignas(64) TOp {
     const void *h = nullptr;
@@ -44,7 +48,7 @@ struct alignas(64) TOp {
     std::uint8_t *dp = nullptr;
     std::uint16_t next_pc = 0;
     std::uint16_t a = 0;
-    std::uint16_t b = 0; ///< static dst addr; instr index for generic
+    std::uint16_t b = 0; ///< static dst addr; Block::instrs index for generic
     std::uint16_t mask = 0xFFFF;
     std::uint16_t msb = 0x8000;
     std::uint16_t fa0 = 0, fa1 = 0;
@@ -54,7 +58,9 @@ struct alignas(64) TOp {
     std::uint8_t byte = 0;
     std::uint8_t runs = 0;
     std::uint8_t probe = 0;
-    std::uint8_t ra = 0;  ///< dyn src reg index / jump polarity
+    /** Dyn src reg index / jump polarity / generic: the operands need
+     *  the mapped-space pre-check. */
+    std::uint8_t ra = 0;
     std::uint8_t rd = 0;  ///< dyn dst reg index
     std::uint8_t inc = 0; ///< @Rn+ post-increment amount
     std::uint8_t smc = 0; ///< static store into the block's own code
@@ -96,27 +102,54 @@ struct TDelta {
     std::uint8_t d_hits = 0, d_misses = 0, d_pre = 0;
 };
 
-/** Lowered form of one superblock: the op array (with a trailing
- *  block-end sentinel), the block's static accounting totals, its entry
- *  count in the current chain, and its successor links. */
-class ThreadedCode
-{
-  public:
+/** Block-table geometry: one slot per word-aligned PC. */
+constexpr std::uint32_t kSlots = 32768;
+constexpr std::uint32_t kMaxBlockInstrs = 32;
+constexpr std::uint32_t kMaxBlockBytes = 120;
+/** kMaxBlockBytes bytes span at most this many gen pages. */
+constexpr std::uint32_t kMaxBlockPages =
+    kMaxBlockBytes / (1u << PageGenTable::kPageShift) + 2;
+
+/** One block, built and lowered in one pass: its bounds and
+ *  invalidation snapshot, the op array (with a trailing block-end
+ *  sentinel), the static accounting totals, its entry count in the
+ *  current chain, and its successor links. n == 0 is a tombstone: the
+ *  PC is known unblockable and revalidated like any block. */
+struct ThreadedEngine::Block {
+    std::uint16_t start_pc = 0;
+    std::uint32_t end_addr = 0; ///< one past the last code byte
+    std::uint32_t n = 0;        ///< instructions (ops minus the sentinel)
+    bool fram_code = false;     ///< fetched from FRAM (else SRAM)
+    std::uint8_t owner = 0;     ///< CodeOwner shared by every instr
+    bool writes_sr = false;     ///< some instruction may write SR (GIE)
+    /** Upper bound on total cycles one execution can cost. Blocks
+     *  exist only when wait states and contention stall fit in 16
+     *  bits, so this stays near 32 instructions × 6 accesses ×
+     *  0xFFFF and cannot overflow. */
+    std::uint32_t worst_case_cycles = 0;
+
+    // Invalidation snapshot. code_epoch is refreshed whenever a
+    // per-page check passes, so one compare usually decides.
+    std::uint64_t global_gen = 0;
+    std::uint64_t code_epoch = 0;
+    std::uint16_t first_page = 0;
+    std::uint16_t last_page = 0;
+    std::array<std::uint64_t, kMaxBlockPages> page_gens{};
+
     std::vector<TOp> ops;
     std::vector<TDelta> deltas;
-    std::uint32_t n = 0; ///< instructions (ops minus the sentinel)
-    bool fram_code = false;
-    std::uint8_t owner = 0; ///< the block's CodeOwner
+    /** Decoded instructions of the generic-kernel ops (TOp::b). */
+    std::vector<isa::Instr> instrs;
     /** Entries in the running chain; the chain end applies runs × tot
      *  for every slot past kAccStall, then clears it. */
     std::uint64_t runs = 0;
     /** Static block totals, indexed by AccIdx (the fetch count is
-     *  already in the fram/sram slot matching fetch_region). */
+     *  already in the fram/sram slot matching fram_code). */
     alignas(32) std::array<std::uint32_t, kNumAcc> tot{};
 
     /** The block last entered from this one at @p pc, if no block slot
-     *  has been rebuilt since (@p tag = replacements()), else null. */
-    SuperblockEngine::Block *
+     *  has been rebuilt since (@p tag = replacements_), else null. */
+    Block *
     follow(std::uint16_t pc, std::uint64_t tag) const
     {
         for (const Link &l : links) {
@@ -128,8 +161,7 @@ class ThreadedCode
 
     /** Remember @p block as this block's successor at @p pc. */
     void
-    link(std::uint16_t pc, SuperblockEngine::Block *block,
-         std::uint64_t tag)
+    link(std::uint16_t pc, Block *block, std::uint64_t tag)
     {
         if (links[0].pc != pc)
             links[1] = links[0];
@@ -142,13 +174,186 @@ class ThreadedCode
      *  jump fit). */
     struct Link {
         std::uint64_t tag = UINT64_MAX; ///< never matches: empty
-        SuperblockEngine::Block *block = nullptr;
+        Block *block = nullptr;
         std::uint16_t pc = 0;
     };
     std::array<Link, 2> links{};
 };
 
 namespace {
+
+/** True when @p addr lies in plain memory (SRAM or FRAM) — the only
+ *  space the fast tier may touch directly. @p sram_size shapes the
+ *  SRAM window exactly as it shapes the bus's regionOf(). */
+inline bool
+mapped(std::uint16_t addr, std::uint32_t sram_size)
+{
+    return addr >= platform::kFramBase ||
+           static_cast<std::uint16_t>(addr - platform::kSramBase) <
+               sram_size;
+}
+
+/** Build-time classification of one decoded instruction. */
+struct Analysis {
+    bool include = true;     ///< false: stop the block before it
+    bool terminator = false; ///< include it, then stop
+    /** Some operand address depends on a register: pre-check the
+     *  effective addresses with dynOperandsMapped before executing. */
+    bool dyn_mem = false;
+    /** May write SR (GIE): gates dispatch while a timer interrupt is
+     *  or may become pending. */
+    bool writes_sr = false;
+    std::uint32_t max_data = 0; ///< data accesses upper bound
+};
+
+Analysis
+analyze(const isa::Instr &in, std::uint32_t sram_size)
+{
+    Analysis a;
+    auto static_ok = [sram_size](const Operand &op) {
+        // Symbolic/Absolute effective addresses are fixed at decode:
+        // reject device/unmapped space once, at build time.
+        if (op.mode == Mode::Symbolic || op.mode == Mode::Absolute)
+            return mapped(op.value, sram_size);
+        return true;
+    };
+    auto is_dyn = [](const Operand &op) {
+        return op.mode == Mode::Indexed || op.mode == Mode::Indirect ||
+               op.mode == Mode::IndirectInc;
+    };
+    auto is_mem = [](const Operand &op) {
+        return op.mode != Mode::Register && op.mode != Mode::Immediate;
+    };
+    switch (isa::opFormat(in.op)) {
+      case isa::OpFormat::Jump:
+        a.terminator = true;
+        return a;
+      case isa::OpFormat::DoubleOperand: {
+        if (!static_ok(in.src) || !static_ok(in.dst)) {
+            a.include = false;
+            return a;
+        }
+        a.dyn_mem = is_dyn(in.src) || is_dyn(in.dst);
+        if (in.dst.mode == Mode::Register) {
+            a.terminator = in.dst.reg == isa::Reg::PC;
+            a.writes_sr = in.dst.reg == isa::Reg::SR;
+        }
+        a.max_data = (is_mem(in.src) ? 1u : 0u) +
+                     (is_mem(in.dst) ? 2u : 0u);
+        return a;
+      }
+      case isa::OpFormat::SingleOperand: {
+        if (in.op == Op::Reti) {
+            // Pops SR (may set GIE) and PC off a dynamic SP.
+            a.terminator = true;
+            a.dyn_mem = true;
+            a.writes_sr = true;
+            a.max_data = 2;
+            return a;
+        }
+        if (!static_ok(in.dst)) {
+            a.include = false;
+            return a;
+        }
+        const bool stack = in.op == Op::Push || in.op == Op::Call;
+        a.dyn_mem = is_dyn(in.dst) || stack; // PUSH/CALL write the stack
+        a.terminator = in.op == Op::Call;
+        if (in.dst.mode == Mode::Register && !stack) {
+            if (in.dst.reg == isa::Reg::PC)
+                a.terminator = true; // e.g. RRA PC
+            a.writes_sr = in.dst.reg == isa::Reg::SR;
+        }
+        a.max_data = 2;
+        return a;
+      }
+    }
+    return a;
+}
+
+/**
+ * Pre-execution check of every register-dependent effective address
+ * @p in will touch, reproducing resolve()'s address arithmetic
+ * (including @Rn+ post-increments feeding a later operand through the
+ * same register, and PUSH/CALL's SP-2 stack slot). MMIO device effects
+ * and unmapped fatals must happen exactly as a single step would
+ * produce them, so false — some access would leave SRAM/FRAM — sends
+ * the whole instruction to the oracle with nothing committed.
+ */
+bool
+dynOperandsMapped(const isa::Instr &in,
+                  const std::array<std::uint16_t, 16> &regs,
+                  std::uint32_t sram_size)
+{
+    auto ok = [sram_size](std::uint16_t addr) {
+        return mapped(addr, sram_size);
+    };
+    switch (isa::opFormat(in.op)) {
+      case isa::OpFormat::Jump:
+        return true;
+      case isa::OpFormat::DoubleOperand: {
+        int inc_reg = -1;
+        std::uint16_t inc = 0;
+        const Operand &s = in.src;
+        switch (s.mode) {
+          case Mode::Indexed:
+            if (!ok(static_cast<std::uint16_t>(
+                    regs[isa::regIndex(s.reg)] + s.value)))
+                return false;
+            break;
+          case Mode::Indirect:
+            if (!ok(regs[isa::regIndex(s.reg)]))
+                return false;
+            break;
+          case Mode::IndirectInc:
+            if (!ok(regs[isa::regIndex(s.reg)]))
+                return false;
+            inc_reg = isa::regIndex(s.reg);
+            inc = in.byte ? 1 : 2;
+            break;
+          default:
+            break;
+        }
+        const Operand &d = in.dst;
+        if (d.mode == Mode::Indexed) {
+            std::uint16_t base = regs[isa::regIndex(d.reg)];
+            if (isa::regIndex(d.reg) == inc_reg)
+                base = static_cast<std::uint16_t>(base + inc);
+            if (!ok(static_cast<std::uint16_t>(base + d.value)))
+                return false;
+        }
+        return true;
+      }
+      case isa::OpFormat::SingleOperand: {
+        if (in.op == Op::Reti)
+            return ok(regs[1]) && ok(static_cast<std::uint16_t>(regs[1] + 2));
+        std::uint16_t sp = regs[1];
+        const Operand &d = in.dst;
+        switch (d.mode) {
+          case Mode::Indexed:
+            if (!ok(static_cast<std::uint16_t>(
+                    regs[isa::regIndex(d.reg)] + d.value)))
+                return false;
+            break;
+          case Mode::Indirect:
+            if (!ok(regs[isa::regIndex(d.reg)]))
+                return false;
+            break;
+          case Mode::IndirectInc:
+            if (!ok(regs[isa::regIndex(d.reg)]))
+                return false;
+            if (isa::regIndex(d.reg) == 1)
+                sp = static_cast<std::uint16_t>(sp + (in.byte ? 1 : 2));
+            break;
+          default:
+            break;
+        }
+        if (in.op == Op::Push || in.op == Op::Call)
+            return ok(static_cast<std::uint16_t>(sp - 2));
+        return true;
+      }
+    }
+    return true;
+}
 
 /** Kernel identifiers, in exact label-table order. The four Format I
  *  families are contiguous runs indexed by (op - Op::Mov). */
@@ -204,14 +409,14 @@ struct DCtx {
     std::uint32_t blk_end = 0;
     bool smc = false;
 
-    /// The dispatched block's decoded instructions (generic kernel).
-    const SuperblockEngine::BlockInstr *instrs = nullptr;
+    /// The dispatched block's generic-kernel instructions.
+    const isa::Instr *instrs = nullptr;
 
     // Chain state for block transitions inside the dispatch loop
     // (ThreadedEngine::advanceChain).
     ThreadedEngine *eng = nullptr;
     const ThreadedEngine::ChainLimits *limits = nullptr;
-    ThreadedCode *cur_tc = nullptr; ///< dispatched block's lowered code
+    ThreadedEngine::Block *cur = nullptr; ///< the dispatched block
     TOp *cur_ops = nullptr;
     std::uint64_t total = 0;      ///< bail-out corrections to runs × n
     std::uint64_t dispatches = 0; ///< ditto, to the chain's entries
@@ -226,14 +431,6 @@ struct DCtx {
     TOp *bail_op = nullptr;
     int bail_kind = 0; ///< 0 done, 1 operand (uncommitted), 2 SMC
 };
-
-inline bool
-mappedAddr(const DCtx *st, std::uint16_t addr)
-{
-    return addr >= platform::kFramBase ||
-           static_cast<std::uint16_t>(addr - platform::kSramBase) <
-               st->sram_size;
-}
 
 inline void
 setF(std::uint16_t *regs, bool n, bool z, bool c, bool v)
@@ -656,7 +853,7 @@ kernDR(DCtx *st, TOp *op)
     std::uint16_t *regs = st->regs;
     std::uint16_t addr =
         static_cast<std::uint16_t>(regs[op->ra] + op->a);
-    if (!mappedAddr(st, addr))
+    if (!mapped(addr, st->sram_size))
         return 1;
     tFetch(st, op);
     st->fram_count = op->chain;
@@ -684,7 +881,7 @@ kernND(DCtx *st, TOp *op)
     std::uint16_t *regs = st->regs;
     std::uint16_t addr =
         static_cast<std::uint16_t>(regs[op->rd] + op->b);
-    if (!mappedAddr(st, addr))
+    if (!mapped(addr, st->sram_size))
         return 1;
     tFetch(st, op);
     st->fram_count = op->chain;
@@ -732,7 +929,7 @@ kernPush(DCtx *st, TOp *op)
 {
     std::uint16_t *regs = st->regs;
     std::uint16_t nsp = static_cast<std::uint16_t>(regs[1] - 2);
-    if (!mappedAddr(st, nsp))
+    if (!mapped(nsp, st->sram_size))
         return 1;
     tFetch(st, op);
     st->fram_count = op->chain;
@@ -750,7 +947,7 @@ kernCallImm(DCtx *st, TOp *op)
 {
     std::uint16_t *regs = st->regs;
     std::uint16_t nsp = static_cast<std::uint16_t>(regs[1] - 2);
-    if (!mappedAddr(st, nsp))
+    if (!mapped(nsp, st->sram_size))
         return 1;
     tFetch(st, op);
     st->fram_count = op->chain;
@@ -767,16 +964,14 @@ kernCallImm(DCtx *st, TOp *op)
 SWAPRAM_INLINE int
 kernGeneric(DCtx *st, TOp *op, ExecCore<ShimMem> &core)
 {
-    const SuperblockEngine::BlockInstr *bi = &st->instrs[op->b];
-    if ((bi->flags & SuperblockEngine::kFlagDynMem) &&
-        !SuperblockEngine::dynOperandsMapped(bi->instr, *st->regs_arr,
-                                             st->sram_size))
+    const isa::Instr &in = st->instrs[op->b];
+    if (op->ra && !dynOperandsMapped(in, *st->regs_arr, st->sram_size))
         return 1;
     tFetch(st, op);
     st->fram_count = op->chain;
     st->last_line = op->lastline;
     st->regs[0] = op->next_pc;
-    core.execute(bi->instr);
+    core.execute(in);
     return st->smc ? 2 : 0;
 }
 
@@ -936,20 +1131,29 @@ L_end:
 
 } // namespace
 
-ThreadedEngine::ThreadedEngine(Cpu &cpu, Memory &memory, Bus &bus,
-                               Stats &stats, const MachineConfig &config,
-                               SuperblockEngine &sb)
+ThreadedEngine::ThreadedEngine(
+    Cpu &cpu, Memory &memory, Bus &bus, Stats &stats,
+    const MachineConfig &config, PredecodeCache *predecode,
+    std::function<std::uint8_t(std::uint16_t)> classify)
     : cpu_(cpu), memory_(memory), bus_(bus), stats_(stats),
-      config_(config), sb_(sb)
+      config_(config), predecode_(predecode),
+      classify_(std::move(classify)), blocks_(kSlots)
 {
     labels_ = dispatchRun(nullptr, nullptr);
 }
 
-void
-ThreadedEngine::lower(SuperblockEngine::Block &block)
+ThreadedEngine::~ThreadedEngine() = default;
+
+std::unique_ptr<ThreadedEngine::Block>
+ThreadedEngine::build(std::uint16_t pc)
 {
-    auto tc = std::make_shared<ThreadedCode>();
-    const bool fram_code = block.fetch_region == RegionKind::Fram;
+    auto b = std::make_unique<Block>();
+    b->start_pc = pc;
+    b->end_addr = pc;
+    const RegionKind region = regionOf(pc, config_.sramEnd());
+    const bool fram_code = region == RegionKind::Fram;
+    b->fram_code = fram_code;
+
     const bool hw_on = config_.hw_cache_enabled;
     const std::uint32_t ws = config_.effectiveWaitStates();
     const std::uint32_t cstall = config_.contention_stall;
@@ -958,29 +1162,20 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
     const std::uint32_t code_end = bus_.codeEnd();
     std::uint16_t *regs = cpu_.regs().data();
     std::uint8_t *bytes = memory_.bytes();
-    tc->fram_code = fram_code;
-    tc->owner = block.owner;
-
-    const std::size_t n = block.instrs.size();
-    tc->n = static_cast<std::uint32_t>(n);
-    // Sized once up front: ops never reallocate afterwards, so an
-    // immediate's source cell may point into its own TOp.
-    tc->ops.resize(n + 1);
-    tc->deltas.resize(n);
 
     auto regCell = [regs](isa::Reg r) {
         return reinterpret_cast<std::uint8_t *>(regs + isa::regIndex(r));
+    };
+    auto inCode = [&](std::uint16_t addr) {
+        return addr >= code_base &&
+               static_cast<std::uint32_t>(addr) < code_end;
     };
     // Fold one static-address data read into op statics. The fetch
     // stream's addresses are fixed, so the line-contention component
     // is static; with the hardware cache on, only the hit/miss
     // outcome stays a runtime probe.
     auto staticRead = [&](std::uint16_t addr, TOp &t, TDelta &dl) {
-        if (addr >= code_base && static_cast<std::uint32_t>(addr) <
-                                     code_end)
-            ++dl.d_code;
-        else
-            ++dl.d_data;
+        ++(inCode(addr) ? dl.d_code : dl.d_data);
         if (addr >= platform::kFramBase) {
             ++dl.d_fram_r;
             std::uint32_t line = addr >> 3;
@@ -1002,14 +1197,11 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
     // (after_read: the preceding read of the same cell already seeded
     // the contention chain with this line, so the write never
     // contends). The SMC outcome is static too — both the address and
-    // the block's code window are fixed.
+    // the block's code window are fixed; the window's end is only
+    // known once the scan stops, so smc is narrowed there.
     auto staticWrite = [&](std::uint16_t addr, TOp &t, TDelta &dl,
                            bool after_read, unsigned nbytes) {
-        if (addr >= code_base && static_cast<std::uint32_t>(addr) <
-                                     code_end)
-            ++dl.d_code;
-        else
-            ++dl.d_data;
+        ++(inCode(addr) ? dl.d_code : dl.d_data);
         if (addr >= platform::kFramBase) {
             ++dl.d_fram_w;
             std::uint32_t cont = 0;
@@ -1023,9 +1215,7 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
         }
         if (predecode_)
             ++dl.d_pre;
-        if (static_cast<std::uint32_t>(addr) < block.end_addr &&
-            static_cast<std::uint32_t>(addr) + nbytes > block.start_pc)
-            t.smc = 1;
+        t.smc = static_cast<std::uint32_t>(addr) + nbytes > pc;
     };
 
     // Cross-op fetch-run folding. After an instruction's fetch stream,
@@ -1037,40 +1227,91 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
     // into the statics and drop the runtime probe.
     std::uint32_t fold_line = 0xFFFFFFFF;
     bool fold_clean = false;
+    std::uint32_t worst = 0;
 
-    for (std::size_t i = 0; i < n; ++i) {
-        const SuperblockEngine::BlockInstr &bi = block.instrs[i];
-        const isa::Instr &in = bi.instr;
-        TOp &t = tc->ops[i];
-        TDelta &dl = tc->deltas[i];
-        t.next_pc = bi.next_pc;
-        dl.d_base = bi.base_cycles;
+    // Lowered into fixed scratch first and copied out once the scan
+    // stops, so the block's arrays are allocated once, at their size.
+    std::array<TOp, kMaxBlockInstrs + 1> ops;
+    std::array<TDelta, kMaxBlockInstrs> deltas;
+
+    const bool scan =
+        region == RegionKind::Sram || region == RegionKind::Fram;
+    const bool block_in_recovery = inRecovery(pc);
+    b->owner = classify_(pc);
+    std::uint32_t cur = pc;
+    while (scan && b->n < kMaxBlockInstrs && cur - pc < kMaxBlockBytes) {
+        if (inRecovery(cur) != block_in_recovery)
+            break; // recovery attribution boundary
+        const auto cur16 = static_cast<std::uint16_t>(cur);
+        if (cur != pc && (cur16 == probe_a_ || cur16 == probe_b_))
+            break; // checkpoint probe: only ever a block start
+        if (classify_(cur16) != b->owner)
+            break; // code-owner boundary
+        std::uint16_t w0 = memory_.read16(cur16);
+        if (!isa::validLeadingWord(w0))
+            break; // garbage: only the oracle may diagnose it
+        isa::Shape shape = isa::decodeShape(w0);
+        const int n_words = 1 + shape.totalExt();
+        const std::uint32_t end =
+            cur + 2 * static_cast<std::uint32_t>(n_words);
+        if (end > 0x10000)
+            break; // instruction would wrap the address space
+        bool crosses = false;
+        for (int w = 0; w < n_words; ++w) {
+            crosses |= regionOf(static_cast<std::uint16_t>(cur + 2 * w),
+                                config_.sramEnd()) != region;
+        }
+        if (crosses)
+            break; // region-crossing fetch
+        std::uint16_t ext_src =
+            shape.src_ext
+                ? memory_.read16(static_cast<std::uint16_t>(cur + 2))
+                : 0;
+        std::uint16_t ext_dst =
+            shape.dst_ext ? memory_.read16(static_cast<std::uint16_t>(
+                                cur + 2 + (shape.src_ext ? 2 : 0)))
+                          : 0;
+        const isa::Instr in = isa::decodeWords(w0, ext_src, ext_dst, cur16);
+        const Analysis a = analyze(in, config_.sram_size);
+        if (!a.include)
+            break; // statically MMIO/unmapped operand
+
+        TOp &t = ops[b->n];
+        TDelta &dl = deltas[b->n];
+        t.next_pc = static_cast<std::uint16_t>(end);
+        dl.d_base = static_cast<std::uint8_t>(isa::baseCycles(in));
         t.byte = in.byte ? 1 : 0;
         t.mask = in.byte ? 0xFF : 0xFFFF;
         t.msb = in.byte ? 0x80 : 0x8000;
 
-        // Fetch statics: collapse the FRAM stream to its line runs.
-        dl.d_fetch = bi.n_words;
+        // Fetch statics: code/data classification per word, and the
+        // FRAM stream collapsed to its line runs. The 2nd+ FRAM fetch
+        // of an instruction contends iff it changes 8-byte line (static:
+        // fetches come first and their addresses are fixed).
+        dl.d_fetch = static_cast<std::uint8_t>(n_words);
+        std::uint32_t line = 0; ///< line of the last fetch word
+        int runs = 0;
+        for (int w = 0; w < n_words; ++w) {
+            const auto wa = static_cast<std::uint16_t>(cur + 2 * w);
+            ++(inCode(wa) ? dl.d_code : dl.d_data);
+            if (!fram_code)
+                continue;
+            const bool contends = w > 0 && (wa >> 3u) != line;
+            line = wa >> 3;
+            if (!hw_on) {
+                dl.d_stall += contends ? ms : ws;
+                ++dl.d_misses;
+            } else if (w == 0 || contends) {
+                (runs++ == 0 ? t.fa0 : t.fa1) = wa;
+            }
+        }
         if (fram_code) {
-            t.chain = bi.n_words;
-            t.lastline = static_cast<std::uint16_t>(bi.last_fetch_line);
+            // Data accesses contend against the fetch stream's lines.
+            t.chain = static_cast<std::uint8_t>(n_words);
+            t.lastline = static_cast<std::uint16_t>(line);
             if (hw_on) {
-                int runs = 0;
-                for (int w = 0; w < bi.n_words; ++w) {
-                    if (w == 0 || bi.fetch_contends[w]) {
-                        std::uint16_t wa = static_cast<std::uint16_t>(
-                            bi.pc + 2 * w);
-                        if (runs == 0)
-                            t.fa0 = wa;
-                        else
-                            t.fa1 = wa;
-                        ++runs;
-                    }
-                }
                 t.fm0 = static_cast<std::uint16_t>(ws);
-                if (runs > 0 && fold_clean &&
-                    (static_cast<std::uint32_t>(bi.pc) >> 3) ==
-                        fold_line) {
+                if (runs > 0 && fold_clean && (cur >> 3) == fold_line) {
                     // The surviving probe (if any) is the old second
                     // run — a contending line change, not a leading
                     // run — so it keeps run-1 stall contributions.
@@ -1080,15 +1321,9 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
                     --runs;
                 }
                 t.runs = static_cast<std::uint8_t>(runs);
-                dl.d_hits = static_cast<std::uint8_t>(bi.n_words - runs);
-            } else {
-                for (int w = 0; w < bi.n_words; ++w)
-                    dl.d_stall += bi.fetch_contends[w] ? ms : ws;
-                dl.d_misses = bi.n_words;
+                dl.d_hits = static_cast<std::uint8_t>(n_words - runs);
             }
         }
-        dl.d_code = bi.code_words;
-        dl.d_data = static_cast<std::uint8_t>(bi.n_words - bi.code_words);
 
         // Kernel selection.
         int kid = kGeneric;
@@ -1131,8 +1366,7 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
             const bool word_ok_src = in.byte || !(s.value & 1);
             const bool word_ok_dst = in.byte || !(d.value & 1);
             if (s.mode == Mode::Immediate) {
-                t.a = s.value;
-                t.sp = reinterpret_cast<const std::uint8_t *>(&t.a);
+                t.a = s.value; // t.sp: set once the ops stop moving
             } else if (s.mode == Mode::Register) {
                 t.sp = regCell(s.reg);
             }
@@ -1208,9 +1442,7 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
                     t.sp = regCell(d.reg);
                 } else if (d.mode == Mode::Immediate) {
                     kid = kPush;
-                    t.a = d.value;
-                    t.sp =
-                        reinterpret_cast<const std::uint8_t *>(&t.a);
+                    t.a = d.value; // t.sp: as for Format I immediates
                 }
                 break;
               case Op::Call:
@@ -1225,8 +1457,11 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
             break;
           }
         }
-        if (kid == kGeneric)
-            t.b = static_cast<std::uint16_t>(i);
+        if (kid == kGeneric) {
+            t.b = static_cast<std::uint16_t>(b->instrs.size());
+            t.ra = a.dyn_mem ? 1 : 0;
+            b->instrs.push_back(in);
+        }
         t.h = labels_[kid];
 
         // Fold state for the next instruction's leading fetch run:
@@ -1236,31 +1471,105 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
         // write path, which never probes, but a dynamic *read* might
         // land in FRAM, so DR / read-modify-write ND / generic all
         // invalidate the MRU assumption.
-        fold_line = bi.last_fetch_line;
+        fold_line = line;
         const bool may_probe =
             t.probe != 0 || (kid >= kDRBase && kid < kDRBase + 12) ||
             (kid >= kNDBase && kid < kNDBase + 12 && o != Op::Mov) ||
             kid == kGeneric;
         fold_clean = !may_probe;
 
-        tc->tot[kAccBase] += dl.d_base;
-        tc->tot[kAccStall] += dl.d_stall;
-        tc->tot[fram_code ? kAccFramFetch : kAccSramFetch] += dl.d_fetch;
-        tc->tot[kAccCode] += dl.d_code;
-        tc->tot[kAccData] += dl.d_data;
-        tc->tot[kAccSramRead] += dl.d_sram_r;
-        tc->tot[kAccSramWrite] += dl.d_sram_w;
-        tc->tot[kAccFramRead] += dl.d_fram_r;
-        tc->tot[kAccFramWrite] += dl.d_fram_w;
-        tc->tot[kAccHits] += dl.d_hits;
-        tc->tot[kAccMisses] += dl.d_misses;
-        tc->tot[kAccPreInval] += dl.d_pre;
-    }
-    tc->tot[kAccOwner0 + block.owner] = static_cast<std::uint32_t>(n);
-    tc->ops[n].h = labels_[kBlockEnd];
+        b->tot[kAccBase] += dl.d_base;
+        b->tot[kAccStall] += dl.d_stall;
+        b->tot[fram_code ? kAccFramFetch : kAccSramFetch] += dl.d_fetch;
+        b->tot[kAccCode] += dl.d_code;
+        b->tot[kAccData] += dl.d_data;
+        b->tot[kAccSramRead] += dl.d_sram_r;
+        b->tot[kAccSramWrite] += dl.d_sram_w;
+        b->tot[kAccFramRead] += dl.d_fram_r;
+        b->tot[kAccFramWrite] += dl.d_fram_w;
+        b->tot[kAccHits] += dl.d_hits;
+        b->tot[kAccMisses] += dl.d_misses;
+        b->tot[kAccPreInval] += dl.d_pre;
 
-    block.threaded = std::move(tc);
+        b->writes_sr |= a.writes_sr;
+        worst += dl.d_base +
+                 ms * ((fram_code ? n_words : 0) + a.max_data);
+        ++b->n;
+        b->end_addr = end;
+        if (a.terminator || end >= 0x10000)
+            break;
+        cur = end;
+    }
+    b->tot[kAccOwner0 + b->owner] = b->n;
+    ops[b->n].h = labels_[kBlockEnd];
+    b->ops.assign(ops.begin(), ops.begin() + b->n + 1);
+    b->deltas.assign(deltas.begin(), deltas.begin() + b->n);
+    // The op array no longer moves: immediate sources may now point
+    // at their own op's cell, and a static store is own-block SMC only
+    // when it lands below the block's final end.
+    for (TOp &t : b->ops) {
+        if (!t.sp)
+            t.sp = reinterpret_cast<const std::uint8_t *>(&t.a);
+        t.smc = t.smc && t.b < b->end_addr;
+    }
+    b->worst_case_cycles = worst;
+
+    b->global_gen = gens_.globalGen();
+    b->first_page = PageGenTable::pageOf(pc);
+    b->last_page = PageGenTable::pageOf(static_cast<std::uint16_t>(
+        b->end_addr > pc ? b->end_addr - 1 : pc));
+    // Tombstones flag their page too: a copy-in there must still move
+    // the epoch so the PC gets a real block.
+    for (std::uint32_t i = 0;
+         i <= static_cast<std::uint32_t>(b->last_page - b->first_page);
+         ++i) {
+        const auto page = static_cast<std::uint16_t>(b->first_page + i);
+        gens_.markCode(page);
+        b->page_gens[i] = gens_.pageGen(page);
+    }
+    b->code_epoch = gens_.codeEpoch();
+    return b;
+}
+
+bool
+ThreadedEngine::valid(Block &b)
+{
+    if (b.global_gen != gens_.globalGen())
+        return false;
+    if (b.code_epoch == gens_.codeEpoch())
+        return true;
+    for (std::uint32_t i = 0;
+         i <= static_cast<std::uint32_t>(b.last_page - b.first_page);
+         ++i) {
+        if (b.page_gens[i] !=
+            gens_.pageGen(static_cast<std::uint16_t>(b.first_page + i)))
+            return false;
+    }
+    // Some other code page was written; this block's pages were not.
+    b.code_epoch = gens_.codeEpoch();
+    return true;
+}
+
+ThreadedEngine::Block *
+ThreadedEngine::lookup(std::uint16_t pc)
+{
+    if (pc & 1)
+        return nullptr; // the oracle owns the odd-PC fatal
+    std::unique_ptr<Block> &slot = blocks_[pc >> 1];
+    if (slot) {
+        if (valid(*slot))
+            return slot->n ? slot.get() : nullptr;
+        ++stats_.superblock_invalidations;
+        ++replacements_;
+        if (slot->runs)
+            retired_.push_back(std::move(slot)); // the chain still runs it
+    }
+    slot = build(pc);
+    if (!slot->n)
+        return nullptr;
+    ++stats_.superblock_blocks_built;
     ++stats_.threaded_blocks_lowered;
+    return slot.get();
 }
 
 void *
@@ -1272,15 +1581,14 @@ ThreadedEngine::advanceChain(void *p)
     // The next block: the last block's successor link when it is still
     // live and valid, else the block table (which relinks it).
     const std::uint16_t pc = st.regs[0];
-    ThreadedCode *prev = st.cur_tc;
-    SuperblockEngine::Block *block =
-        prev ? prev->follow(pc, sb_.replacements()) : nullptr;
-    if (!block || !sb_.valid(*block)) {
-        block = sb_.lookup(pc);
+    Block *prev = st.cur;
+    Block *block = prev ? prev->follow(pc, replacements_) : nullptr;
+    if (!block || !valid(*block)) {
+        block = lookup(pc);
         if (!block)
             return nullptr;
         if (prev)
-            prev->link(pc, block, sb_.replacements());
+            prev->link(pc, block, replacements_);
     }
 
     // Boundary discipline: a block only runs when its worst-case cycle
@@ -1316,8 +1624,7 @@ ThreadedEngine::advanceChain(void *p)
         }
     }
     if (recovery_end_) {
-        bool in = pc >= recovery_base_ &&
-                  static_cast<std::uint32_t>(pc) < recovery_end_;
+        const bool in = inRecovery(pc);
         if (st.first)
             st.chain_in_recovery = in;
         else if (in != st.chain_in_recovery)
@@ -1327,29 +1634,24 @@ ThreadedEngine::advanceChain(void *p)
         if (st.first)
             st.chain_owner = block->owner;
         else if (block->owner != st.chain_owner ||
-                 pc == limits.probe_a || pc == limits.probe_b)
+                 pc == probe_a_ || pc == probe_b_)
             return nullptr;
     }
     st.first = false;
 
-    if (!block->threaded)
-        lower(*block);
-    ThreadedCode &tc = *block->threaded;
-
     // Only the cycles the guards read are applied now; the chain end
-    // applies runs × the rest. The first entry in this chain pins the
-    // code, so a rebuild of its block mid-chain cannot free it.
-    st.acc[kAccBase] += tc.tot[kAccBase];
-    st.acc[kAccStall] += tc.tot[kAccStall];
-    if (tc.runs++ == 0)
-        chain_codes_.push_back(block->threaded);
+    // applies runs × the rest.
+    st.acc[kAccBase] += block->tot[kAccBase];
+    st.acc[kAccStall] += block->tot[kAccStall];
+    if (block->runs++ == 0)
+        chain_blocks_.push_back(block);
 
     st.blk_start = block->start_pc;
     st.blk_end = block->end_addr;
     st.smc = false;
     st.instrs = block->instrs.data();
-    st.cur_tc = &tc;
-    st.cur_ops = tc.ops.data();
+    st.cur = block;
+    st.cur_ops = block->ops.data();
     return st.cur_ops;
 }
 
@@ -1357,9 +1659,10 @@ ThreadedEngine::ChainResult
 ThreadedEngine::runChain(const ChainLimits &limits)
 {
     // A chain that ended in a thrown fatal left its entry counts.
-    for (const std::shared_ptr<ThreadedCode> &code : chain_codes_)
-        code->runs = 0;
-    chain_codes_.clear();
+    for (Block *b : chain_blocks_)
+        b->runs = 0;
+    chain_blocks_.clear();
+    retired_.clear();
 
     DCtx st;
     st.regs_arr = &cpu_.regs();
@@ -1367,7 +1670,7 @@ ThreadedEngine::runChain(const ChainLimits &limits)
     st.bytes = memory_.bytes();
     st.hw = &bus_.hwCache();
     st.pre = predecode_;
-    st.gens = &sb_.pageGens();
+    st.gens = &gens_;
     st.ws = config_.effectiveWaitStates();
     st.cstall = config_.contention_stall;
     st.ms = std::max(st.ws, st.cstall);
@@ -1390,17 +1693,17 @@ ThreadedEngine::runChain(const ChainLimits &limits)
         // Mid-block bail-out (dyn operand or own-block SMC): subtract
         // the unexecuted suffix from what the entry and the chain-end
         // sweep count for a whole run of this block.
-        ThreadedCode &tc = *st.cur_tc;
-        const std::size_t n = tc.n;
+        const Block &b = *st.cur;
+        const std::size_t n = b.n;
         const std::size_t idx =
             static_cast<std::size_t>(st.bail_op - st.cur_ops);
         const std::size_t executed = st.bail_kind == 2 ? idx + 1 : idx;
         if (executed < n) {
             for (std::size_t i = executed; i < n; ++i) {
-                const TDelta &t = tc.deltas[i];
+                const TDelta &t = b.deltas[i];
                 st.acc[kAccBase] -= t.d_base;
                 st.acc[kAccStall] -= t.d_stall;
-                if (tc.fram_code)
+                if (b.fram_code)
                     st.acc[kAccFramFetch] -= t.d_fetch;
                 else
                     st.acc[kAccSramFetch] -= t.d_fetch;
@@ -1414,7 +1717,7 @@ ThreadedEngine::runChain(const ChainLimits &limits)
                 st.acc[kAccMisses] -= t.d_misses;
                 st.acc[kAccPreInval] -= t.d_pre;
             }
-            st.acc[kAccOwner0 + tc.owner] -= n - executed;
+            st.acc[kAccOwner0 + b.owner] -= n - executed;
             st.total -= n - executed;
         }
         if (st.bail_kind == 1)
@@ -1433,16 +1736,16 @@ ThreadedEngine::runChain(const ChainLimits &limits)
 
     // Per-chain accounting: every lowered block that ran adds its
     // static totals once per entry.
-    for (const std::shared_ptr<ThreadedCode> &code : chain_codes_) {
-        ThreadedCode &tc = *code;
-        const std::uint64_t runs = tc.runs;
+    for (Block *b : chain_blocks_) {
+        const std::uint64_t runs = b->runs;
         for (int i = kAccStall + 1; i < kNumAcc; ++i)
-            st.acc[i] += runs * tc.tot[i];
-        st.total += runs * tc.n;
+            st.acc[i] += runs * b->tot[i];
+        st.total += runs * b->n;
         st.dispatches += runs;
-        tc.runs = 0;
+        b->runs = 0;
     }
-    chain_codes_.clear();
+    chain_blocks_.clear();
+    retired_.clear();
 
     const std::uint64_t total = st.total;
     stats_.threaded_dispatches += st.dispatches;
@@ -1475,24 +1778,22 @@ ThreadedEngine::runChain(const ChainLimits &limits)
 
 namespace swapram::sim {
 
-/** Placeholder so Block's shared_ptr<ThreadedCode> has a complete
- *  deleter on toolchains without computed goto. */
-class ThreadedCode
-{
+/** Never built without computed goto; complete for the table's
+ *  destructor. */
+struct ThreadedEngine::Block {
 };
 
-ThreadedEngine::ThreadedEngine(Cpu &cpu, Memory &memory, Bus &bus,
-                               Stats &stats, const MachineConfig &config,
-                               SuperblockEngine &sb)
+ThreadedEngine::ThreadedEngine(
+    Cpu &cpu, Memory &memory, Bus &bus, Stats &stats,
+    const MachineConfig &config, PredecodeCache *predecode,
+    std::function<std::uint8_t(std::uint16_t)> classify)
     : cpu_(cpu), memory_(memory), bus_(bus), stats_(stats),
-      config_(config), sb_(sb)
+      config_(config), predecode_(predecode),
+      classify_(std::move(classify))
 {
 }
 
-void
-ThreadedEngine::lower(SuperblockEngine::Block &)
-{
-}
+ThreadedEngine::~ThreadedEngine() = default;
 
 ThreadedEngine::ChainResult
 ThreadedEngine::runChain(const ChainLimits &)

@@ -1,9 +1,9 @@
 /**
  * @file
- * Superblock block-table tests. SuperblockEngine builds, looks up and
- * validates the straight-line blocks the threaded tier lowers from;
- * it no longer executes them itself. These tests pin that contract on
- * the programs that used to exercise block-stepped dispatch:
+ * Block-table tests for the threaded fast tier (sim/threaded.hh),
+ * which builds, lowers, looks up and validates straight-line blocks
+ * in one module. The suite keeps its Superblock name and the programs
+ * that exercised the since-retired block-stepped dispatch; it pins:
  *
  *  - the fast tier (block table + threaded chains) matches the
  *    single-step oracle in every simulated observable;

@@ -29,6 +29,7 @@
 #include "masm/parser.hh"
 #include "sim/fault.hh"
 #include "sim/harvest.hh"
+#include "support/logging.hh"
 #include "support/platform.hh"
 #include "swapram/builder.hh"
 #include "testutil.hh"
@@ -1075,6 +1076,84 @@ TEST(Threaded, StallGateFallsBackToOracle)
         expectSimStatsEqual(withoutPredecode(s), oracle.stats(), c.name);
         EXPECT_EQ(run.machine->cpu().regs(), oracle.machine->cpu().regs())
             << c.name;
+    }
+}
+
+/** Fast-tier stores at the SRAM end that sram_size sets. At 1024,
+ *  kSramBase + 1024 is unmapped: the Absolute store is left out of
+ *  every block and the Indexed store fails the mapped-space pre-check,
+ *  so the oracle steps each and throws the bus's fatal. At 8192 the
+ *  same address is SRAM and both stores run on the fast tier. Either
+ *  way the threaded run matches the oracle, which pins the tier's one
+ *  mapped-space predicate to the bus's regionOf. */
+TEST(Threaded, ShrunkenSramEndMatchesOracle)
+{
+    struct EndCase {
+        const char *name;
+        const char *body;
+    };
+    const EndCase cases[] = {
+        {"absolute",
+         "        MOV #40, R10\n"
+         "warm:   ADD #3, R6\n"
+         "        DEC R10\n"
+         "        JNZ warm\n"
+         "        MOV R6, &0x2400\n"},
+        {"indexed",
+         "        MOV #0x23E0, R7\n"
+         "walk:   MOV R6, 0(R7)\n"
+         "        ADD #2, R7\n"
+         "        CMP #0x2402, R7\n"
+         "        JNE walk\n"},
+    };
+    static_assert(platform::kSramBase + 1024 == 0x2400);
+    struct EndRun {
+        std::unique_ptr<sim::Machine> machine;
+        bool done = false;
+        std::string error; ///< the FatalError text, if run() threw
+    };
+    for (const std::uint32_t sram_size : {1024u, 8192u}) {
+        for (const EndCase &c : cases) {
+            const std::string ctx =
+                std::string(c.name) + " sram_size " +
+                std::to_string(sram_size);
+            auto run = [&](Tier tier) {
+                sim::MachineConfig config = tierConfig(tier);
+                config.sram_size = sram_size;
+                EndRun r;
+                r.machine = std::make_unique<sim::Machine>(config);
+                masm::LayoutSpec layout;
+                layout.data_base = platform::kSramBase;
+                r.machine->load(
+                    masm::assemble(masm::parse(test::wrapBody(c.body)),
+                                   layout)
+                        .image,
+                    0x3000);
+                try {
+                    r.done = r.machine->run().done;
+                } catch (const support::FatalError &e) {
+                    r.error = e.what();
+                }
+                return r;
+            };
+            EndRun fast = run(Tier::Threaded);
+            EndRun oracle = run(Tier::Oracle);
+            if (sram_size == 1024) {
+                EXPECT_NE(oracle.error, "") << ctx;
+                EXPECT_FALSE(fast.done) << ctx;
+            } else {
+                EXPECT_TRUE(oracle.done) << ctx << ": " << oracle.error;
+                EXPECT_TRUE(fast.done) << ctx << ": " << fast.error;
+            }
+            EXPECT_EQ(fast.error, oracle.error) << ctx;
+            EXPECT_GT(fast.machine->stats().threaded_instructions, 0u)
+                << ctx;
+            expectSimStatsEqual(fast.machine->stats(),
+                                oracle.machine->stats(), ctx);
+            EXPECT_EQ(fast.machine->cpu().regs(),
+                      oracle.machine->cpu().regs())
+                << ctx;
+        }
     }
 }
 

@@ -468,6 +468,59 @@ buildProgram(const Args &args, const harness::PlacementPlan &plan,
     return masm::parse(harness::startupSource(plan.stack_top) + source);
 }
 
+/**
+ * The one workload a run/heatmap/faults command takes from a file or a
+ * single --workload: its source already carries the library (specs
+ * built on it set include_lib false), and a built-in keeps its golden
+ * checksum. @p builtin, when given, receives the built-in or nullptr.
+ */
+workloads::Workload
+scratchWorkload(const Args &args,
+                const workloads::Workload **builtin = nullptr)
+{
+    const workloads::Workload *wl = nullptr;
+    workloads::Workload scratch;
+    scratch.source = loadSource(args, &wl);
+    scratch.name = args.file.empty() ? args.workload : args.file;
+    scratch.display = scratch.name;
+    if (wl)
+        scratch.expected = wl->expected;
+    if (builtin)
+        *builtin = wl;
+    return scratch;
+}
+
+/** The RunSpec fields every run command takes from the command line. */
+harness::RunSpec
+specFromArgs(const Args &args, const workloads::Workload *workload)
+{
+    harness::RunSpec spec;
+    spec.workload = workload;
+    spec.system = args.system;
+    spec.placement = args.placement;
+    spec.clock_hz = args.clock_hz;
+    spec.swap = args.swap;
+    spec.block = args.block;
+    spec.sram_size = args.sram_size;
+    spec.swap.boot_recovery = !args.no_recovery;
+    spec.block.boot_recovery = !args.no_recovery;
+    spec.superblock = !args.no_superblock;
+    return spec;
+}
+
+/** Faults every @p period cycles, or with --fault-seed at random
+ *  intervals in [period/2, 3·period/2). */
+sim::FaultPlan
+periodPlan(const Args &args, std::uint64_t period)
+{
+    return args.fault_seed
+               ? sim::FaultPlan::random(
+                     std::max<std::uint64_t>(period / 2, 1),
+                     period + period / 2, args.fault_seed,
+                     args.fault_count)
+               : sim::FaultPlan::periodic(period, args.fault_count);
+}
+
 int
 cmdAssemble(const Args &args)
 {
@@ -900,17 +953,7 @@ cmdRunMany(const Args &args)
         resolveWorkloads(args.workload);
     std::vector<harness::RunSpec> specs;
     for (const workloads::Workload *w : wls) {
-        harness::RunSpec spec;
-        spec.workload = w;
-        spec.system = args.system;
-        spec.placement = args.placement;
-        spec.clock_hz = args.clock_hz;
-        spec.swap = args.swap;
-        spec.block = args.block;
-        spec.sram_size = args.sram_size;
-        spec.swap.boot_recovery = !args.no_recovery;
-        spec.block.boot_recovery = !args.no_recovery;
-        spec.superblock = !args.no_superblock;
+        harness::RunSpec spec = specFromArgs(args, w);
         spec.observe.swap_timeline =
             args.system != harness::System::Baseline;
         spec.observe.metrics = args.metrics;
@@ -1071,27 +1114,9 @@ cmdRun(const Args &args_in)
     }
 
     const workloads::Workload *wl = nullptr;
-    std::string source = loadSource(args, &wl);
-
-    workloads::Workload scratch;
-    scratch.name = args.file.empty() ? args.workload : args.file;
-    scratch.display = scratch.name;
-    scratch.source = source;
-    if (wl)
-        scratch.expected = wl->expected;
-
-    harness::RunSpec spec;
-    spec.workload = &scratch;
-    spec.system = args.system;
-    spec.placement = args.placement;
-    spec.clock_hz = args.clock_hz;
-    spec.swap = args.swap;
-    spec.block = args.block;
-    spec.sram_size = args.sram_size;
-    spec.include_lib = false; // already appended for workloads
-    spec.swap.boot_recovery = !args.no_recovery;
-    spec.block.boot_recovery = !args.no_recovery;
-    spec.superblock = !args.no_superblock;
+    const workloads::Workload scratch = scratchWorkload(args, &wl);
+    harness::RunSpec spec = specFromArgs(args, &scratch);
+    spec.include_lib = false;
     applyCkptScheme(spec, run_scheme, args);
     spec.intermittent.livelock_boots = args.livelock_boots;
     if (!args.harvest_traces.empty()) {
@@ -1103,14 +1128,8 @@ cmdRun(const Args &args_in)
             traces.front(), capacitorFrom(args));
     } else if (!args.fault_periods.empty()) {
         // Likewise a single fault period.
-        std::uint64_t period = args.fault_periods.front();
         spec.intermittent.plan =
-            args.fault_seed
-                ? sim::FaultPlan::random(
-                      std::max<std::uint64_t>(period / 2, 1),
-                      period + period / 2, args.fault_seed,
-                      args.fault_count)
-                : sim::FaultPlan::periodic(period, args.fault_count);
+            periodPlan(args, args.fault_periods.front());
     }
 
     harness::ObserveSpec &obs = spec.observe;
@@ -1257,12 +1276,7 @@ faultCampaign(const Args &args_in, support::json::Array *docs)
     std::vector<const workloads::Workload *> wls;
     const bool from_file = !args.file.empty();
     if (from_file) {
-        const workloads::Workload *wl = nullptr;
-        scratch.source = loadSource(args, &wl);
-        scratch.name = args.file;
-        scratch.display = scratch.name;
-        if (wl)
-            scratch.expected = wl->expected;
+        scratch = scratchWorkload(args);
         wls.push_back(&scratch);
     } else {
         wls = resolveWorkloads(args.workload);
@@ -1287,18 +1301,8 @@ faultCampaign(const Args &args_in, support::json::Array *docs)
 
     auto baseSpec = [&](const workloads::Workload *w,
                         ckpt::Scheme scheme) {
-        harness::RunSpec spec;
-        spec.workload = w;
-        spec.system = args.system;
-        spec.placement = args.placement;
-        spec.clock_hz = args.clock_hz;
-        spec.swap = args.swap;
-        spec.block = args.block;
-        spec.sram_size = args.sram_size;
+        harness::RunSpec spec = specFromArgs(args, w);
         spec.include_lib = !from_file; // files carry their own lib
-        spec.swap.boot_recovery = !args.no_recovery;
-        spec.block.boot_recovery = !args.no_recovery;
-        spec.superblock = !args.no_superblock;
         applyCkptScheme(spec, scheme, args);
         return spec;
     };
@@ -1402,14 +1406,7 @@ faultCampaign(const Args &args_in, support::json::Array *docs)
                 cell.period = period;
                 cells.push_back(cell);
                 harness::RunSpec spec = base;
-                spec.intermittent.plan =
-                    args.fault_seed
-                        ? sim::FaultPlan::random(
-                              std::max<std::uint64_t>(period / 2, 1),
-                              period + period / 2, args.fault_seed,
-                              args.fault_count)
-                        : sim::FaultPlan::periodic(period,
-                                                   args.fault_count);
+                spec.intermittent.plan = periodPlan(args, period);
                 specs.push_back(std::move(spec));
             }
         }
@@ -1696,28 +1693,9 @@ cmdFaults(const Args &args)
 int
 cmdHeatmap(const Args &args)
 {
-    const workloads::Workload *wl = nullptr;
-    std::string source = loadSource(args, &wl);
-
-    workloads::Workload scratch;
-    scratch.name = args.file.empty() ? args.workload : args.file;
-    scratch.display = scratch.name;
-    scratch.source = source;
-    if (wl)
-        scratch.expected = wl->expected;
-
-    harness::RunSpec spec;
-    spec.workload = &scratch;
-    spec.system = args.system;
-    spec.placement = args.placement;
-    spec.clock_hz = args.clock_hz;
-    spec.swap = args.swap;
-    spec.block = args.block;
-    spec.sram_size = args.sram_size;
-    spec.include_lib = false; // already appended for workloads
-    spec.swap.boot_recovery = !args.no_recovery;
-    spec.block.boot_recovery = !args.no_recovery;
-    spec.superblock = !args.no_superblock;
+    const workloads::Workload scratch = scratchWorkload(args);
+    harness::RunSpec spec = specFromArgs(args, &scratch);
+    spec.include_lib = false;
     spec.observe.metrics = true;
 
     harness::Metrics m = harness::runOne(spec);
@@ -1728,16 +1706,6 @@ cmdHeatmap(const Args &args)
     const metrics::RunMetrics &rm = *m.run_metrics;
     using Heatmap = metrics::AddressHeatmap;
     const Heatmap &hm = rm.heatmap;
-
-    auto region_name = [](std::uint16_t base) -> const char * {
-        switch (sim::regionOf(base)) {
-          case sim::RegionKind::Sram: return "sram";
-          case sim::RegionKind::Fram: return "fram";
-          case sim::RegionKind::Mmio: return "mmio";
-          case sim::RegionKind::Unmapped: break;
-        }
-        return "unmapped";
-    };
 
     if (args.json) {
         auto report = harness::RunReport::make(spec, std::move(m));
@@ -1784,7 +1752,7 @@ cmdHeatmap(const Args &args)
     std::map<std::string, Heatmap::Page> regions;
     for (unsigned i = 0; i < Heatmap::kPages; ++i) {
         if (!hm.page(i).empty())
-            regions[region_name(Heatmap::baseOf(i))].merge(hm.page(i));
+            regions[harness::regionName(Heatmap::baseOf(i))].merge(hm.page(i));
     }
     harness::Table region_table(
         {"region", "fetch", "read", "write", "stall_cyc"});
@@ -1802,7 +1770,7 @@ cmdHeatmap(const Args &args)
         const Heatmap::Page &p = hm.page(i);
         top_table.addRow(
             {support::hex16(Heatmap::baseOf(i)),
-             region_name(Heatmap::baseOf(i)),
+             harness::regionName(Heatmap::baseOf(i)),
              harness::withCommas(p.fetch), harness::withCommas(p.read),
              harness::withCommas(p.write),
              harness::withCommas(p.stall_cycles)});
@@ -1836,7 +1804,7 @@ cmdHeatmap(const Args &args)
         for (unsigned i = 0; i < Heatmap::kPages; ++i) {
             const Heatmap::Page &p = hm.page(i);
             csv << i << ',' << Heatmap::baseOf(i) << ','
-                << region_name(Heatmap::baseOf(i)) << ',' << p.fetch
+                << harness::regionName(Heatmap::baseOf(i)) << ',' << p.fetch
                 << ',' << p.read << ',' << p.write << ','
                 << p.stall_cycles << '\n';
         }
