@@ -52,7 +52,7 @@ main()
     std::printf("Ablation 2: SwapRAM speedup vs cache size (FFT, "
                 "24 MHz)\n\n");
     const auto *fft = workloads::find("fft");
-    auto base = bench::run(*fft, harness::System::Baseline);
+    auto base = harness::run(*fft, harness::System::Baseline);
     harness::Table sweep({"Cache (B)", "total cycles", "speedup",
                           "FRAM accesses"});
     for (std::uint16_t size :
@@ -79,7 +79,7 @@ main()
     const auto *rsa = workloads::find("rsa");
     harness::Table bl({"Config", "total cycles", "FRAM accesses"});
     {
-        auto m = bench::run(*rsa, harness::System::SwapRam);
+        auto m = harness::run(*rsa, harness::System::SwapRam);
         bl.addRow({"all functions cacheable",
                    harness::withCommas(m.stats.totalCycles()),
                    harness::withCommas(m.stats.framAccesses())});

@@ -16,15 +16,6 @@
 
 namespace swapram::bench {
 
-/** Run one workload/system/placement/clock combination. */
-inline harness::Metrics
-run(const workloads::Workload &w, harness::System system,
-    harness::Placement placement = harness::Placement::Unified,
-    std::uint32_t clock_hz = 24'000'000)
-{
-    return harness::run(w, system, placement, clock_hz);
-}
-
 /** Verify a run finished with the golden checksum; abort loudly if not
  *  (a bench must never report numbers from a wrong execution). */
 inline void

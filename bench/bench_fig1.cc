@@ -40,8 +40,8 @@ main()
                               "Energy (uJ)", "vs unified"});
         double unified_cycles = 0;
         for (const Config &cfg : configs) {
-            auto m = bench::run(w, harness::System::Baseline,
-                                cfg.placement, clock);
+            auto m = harness::run(w, harness::System::Baseline,
+                                  cfg.placement, clock);
             bench::requireCorrect(m, w, "fig1");
             if (cfg.placement == harness::Placement::Unified)
                 unified_cycles =

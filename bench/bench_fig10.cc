@@ -30,13 +30,13 @@ main()
         std::vector<double> sr_speed, sr_energy;
         for (const char *name : names) {
             const auto *w = workloads::find(name);
-            auto std_cfg = bench::run(*w, harness::System::Baseline,
-                                      harness::Placement::Standard,
-                                      clock);
-            auto swap = bench::run(*w, harness::System::SwapRam,
-                                   harness::Placement::Split, clock);
-            auto block = bench::run(*w, harness::System::BlockCache,
-                                    harness::Placement::Split, clock);
+            auto std_cfg = harness::run(*w, harness::System::Baseline,
+                                        harness::Placement::Standard,
+                                        clock);
+            auto swap = harness::run(*w, harness::System::SwapRam,
+                                     harness::Placement::Split, clock);
+            auto block = harness::run(*w, harness::System::BlockCache,
+                                      harness::Placement::Split, clock);
             bench::requireCorrect(std_cfg, *w, "fig10 standard");
             bench::requireCorrect(swap, *w, "fig10 swapram");
             bench::requireCorrect(block, *w, "fig10 block");

@@ -37,9 +37,9 @@ main()
     int handler_min = 1 << 30, handler_max = 0;
 
     for (const auto &w : workloads::all()) {
-        auto base = bench::run(w, harness::System::Baseline);
-        auto block = bench::run(w, harness::System::BlockCache);
-        auto swap = bench::run(w, harness::System::SwapRam);
+        auto base = harness::run(w, harness::System::Baseline);
+        auto block = harness::run(w, harness::System::BlockCache);
+        auto swap = harness::run(w, harness::System::SwapRam);
         bench::requireCorrect(base, w, "fig7");
 
         std::uint32_t base_total = base.totalNvmBytes();

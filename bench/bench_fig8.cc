@@ -38,8 +38,8 @@ main()
         harness::Table table({"Benchmark", "app-FRAM %", "app-SRAM %",
                               "handler %", "memcpy %", "total %"});
         for (const auto &w : workloads::all()) {
-            auto base = bench::run(w, harness::System::Baseline);
-            auto m = bench::run(w, system);
+            auto base = harness::run(w, harness::System::Baseline);
+            auto m = harness::run(w, system);
             bench::requireCorrect(base, w, "fig8 baseline");
             bench::requireCorrect(m, w, "fig8");
             if (!m.fits) {

@@ -26,13 +26,13 @@ main()
         std::vector<double> sr_speed, sr_energy, bb_speed, bb_energy;
         for (const auto &w : workloads::all()) {
             auto base =
-                bench::run(w, harness::System::Baseline,
-                           harness::Placement::Unified, clock);
-            auto swap = bench::run(w, harness::System::SwapRam,
-                                   harness::Placement::Unified, clock);
+                harness::run(w, harness::System::Baseline,
+                             harness::Placement::Unified, clock);
+            auto swap = harness::run(w, harness::System::SwapRam,
+                                     harness::Placement::Unified, clock);
             auto block =
-                bench::run(w, harness::System::BlockCache,
-                           harness::Placement::Unified, clock);
+                harness::run(w, harness::System::BlockCache,
+                             harness::Placement::Unified, clock);
             bench::requireCorrect(base, w, "fig9 baseline");
             bench::requireCorrect(swap, w, "fig9 swapram");
             bench::requireCorrect(block, w, "fig9 block");

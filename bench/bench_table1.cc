@@ -24,7 +24,7 @@ main()
     double ratio_sum = 0;
     int count = 0;
     for (const auto &w : workloads::all()) {
-        auto m = bench::run(w, harness::System::Baseline);
+        auto m = harness::run(w, harness::System::Baseline);
         bench::requireCorrect(m, w, "table1 baseline");
         std::uint32_t binary =
             m.text_bytes + m.const_bytes + m.data_bytes;

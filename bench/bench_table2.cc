@@ -29,9 +29,9 @@ main()
     std::vector<double> bb_cycle_ratio, sr_cycle_ratio;
 
     for (const auto &w : workloads::all()) {
-        auto base = bench::run(w, harness::System::Baseline);
-        auto block = bench::run(w, harness::System::BlockCache);
-        auto swap = bench::run(w, harness::System::SwapRam);
+        auto base = harness::run(w, harness::System::Baseline);
+        auto block = harness::run(w, harness::System::BlockCache);
+        auto swap = harness::run(w, harness::System::SwapRam);
         bench::requireCorrect(base, w, "table2 baseline");
         bench::requireCorrect(block, w, "table2 block");
         bench::requireCorrect(swap, w, "table2 swapram");

@@ -49,7 +49,7 @@ struct alignas(64) TOp {
     std::uint16_t next_pc = 0;
     std::uint16_t a = 0;
     std::uint16_t b = 0; ///< static dst addr; Block::instrs index for generic
-    std::uint16_t mask = 0xFFFF;
+    std::uint16_t mask = 0xFFFF; ///< operand width, or a jump's SR mask
     std::uint16_t msb = 0x8000;
     std::uint16_t fa0 = 0, fa1 = 0;
     std::uint16_t fc0 = 0, fm0 = 0; ///< first fetch probe hit/miss stall
@@ -58,8 +58,8 @@ struct alignas(64) TOp {
     std::uint8_t byte = 0;
     std::uint8_t runs = 0;
     std::uint8_t probe = 0;
-    /** Dyn src reg index / jump polarity / generic: the operands need
-     *  the mapped-space pre-check. */
+    /** Dyn src reg index / jump polarity (BranchRule::when) / generic:
+     *  the operands need the mapped-space pre-check. */
     std::uint8_t ra = 0;
     std::uint8_t rd = 0;  ///< dyn dst reg index
     std::uint8_t inc = 0; ///< @Rn+ post-increment amount
@@ -377,10 +377,6 @@ enum KernelId : int {
     kNumKernels,
 };
 
-#define SWAPRAM_FMT1_OPS(X)                                              \
-    X(Mov) X(Add) X(Addc) X(Subc) X(Sub) X(Cmp) X(Dadd) X(Bit) X(Bic)    \
-    X(Bis) X(Xor) X(And)
-
 /** Shared chain state + accumulators for one runChain invocation. */
 struct DCtx {
     std::uint16_t *regs = nullptr;
@@ -431,118 +427,6 @@ struct DCtx {
     TOp *bail_op = nullptr;
     int bail_kind = 0; ///< 0 done, 1 operand (uncommitted), 2 SMC
 };
-
-inline void
-setF(std::uint16_t *regs, bool n, bool z, bool c, bool v)
-{
-    namespace sr = isa::sr;
-    std::uint16_t s = regs[2];
-    s &= static_cast<std::uint16_t>(~(sr::kN | sr::kZ | sr::kC | sr::kV));
-    if (n)
-        s |= sr::kN;
-    if (z)
-        s |= sr::kZ;
-    if (c)
-        s |= sr::kC;
-    if (v)
-        s |= sr::kV;
-    regs[2] = s;
-}
-
-/** Format I ops that write the destination / that set flags. */
-template <Op OP>
-constexpr bool
-fmt1Writes()
-{
-    return OP != Op::Cmp && OP != Op::Bit;
-}
-template <Op OP>
-constexpr bool
-fmt1Flags()
-{
-    return OP != Op::Mov && OP != Op::Bic && OP != Op::Bis;
-}
-
-struct AluR {
-    std::uint32_t r;
-    bool n, z, c, v;
-};
-
-/** The Format I ALU, result + flags; mirrors ExecCore::executeFormatI
- *  op by op (the kernels then store-before-set-flags in the same
- *  order, which matters when the destination is SR). */
-template <Op OP>
-inline AluR
-fmt1Alu(std::uint32_t src, std::uint32_t dst, std::uint16_t sr_val,
-        std::uint32_t mask, std::uint32_t msb)
-{
-    namespace sr = isa::sr;
-    AluR o{0, false, false, false, false};
-    if constexpr (OP == Op::Mov) {
-        o.r = src & mask;
-        return o;
-    } else if constexpr (OP == Op::Add || OP == Op::Addc ||
-                         OP == Op::Sub || OP == Op::Subc ||
-                         OP == Op::Cmp) {
-        std::uint32_t a = src;
-        std::uint32_t cin = 0;
-        if constexpr (OP == Op::Add) {
-            cin = 0;
-        } else if constexpr (OP == Op::Addc) {
-            cin = (sr_val & sr::kC) ? 1 : 0;
-        } else if constexpr (OP == Op::Sub || OP == Op::Cmp) {
-            a = (~src) & mask;
-            cin = 1;
-        } else { // Subc
-            a = (~src) & mask;
-            cin = (sr_val & sr::kC) ? 1 : 0;
-        }
-        std::uint32_t sum = a + dst + cin;
-        o.r = sum & mask;
-        o.c = sum > mask;
-        o.z = o.r == 0;
-        o.n = (o.r & msb) != 0;
-        o.v = ((~(a ^ dst)) & (a ^ o.r) & msb) != 0;
-        return o;
-    } else if constexpr (OP == Op::Dadd) {
-        std::uint32_t carry = (sr_val & sr::kC) ? 1 : 0;
-        std::uint32_t r = 0;
-        int nibbles = mask == 0xFF ? 2 : 4;
-        for (int i = 0; i < nibbles; ++i) {
-            std::uint32_t a = (src >> (4 * i)) & 0xF;
-            std::uint32_t b = (dst >> (4 * i)) & 0xF;
-            std::uint32_t d = a + b + carry;
-            carry = d >= 10 ? 1 : 0;
-            if (carry)
-                d -= 10;
-            r |= (d & 0xF) << (4 * i);
-        }
-        o.r = r;
-        o.n = (r & msb) != 0;
-        o.z = r == 0;
-        o.c = carry != 0;
-        return o;
-    } else if constexpr (OP == Op::Bit || OP == Op::And) {
-        o.r = src & dst;
-        o.n = (o.r & msb) != 0;
-        o.z = o.r == 0;
-        o.c = o.r != 0;
-        return o;
-    } else if constexpr (OP == Op::Bic) {
-        o.r = dst & ~src & mask;
-        return o;
-    } else if constexpr (OP == Op::Bis) {
-        o.r = dst | src;
-        return o;
-    } else { // Xor
-        o.r = (dst ^ src) & mask;
-        o.n = (o.r & msb) != 0;
-        o.z = o.r == 0;
-        o.c = o.r != 0;
-        o.v = ((src & msb) != 0) && ((dst & msb) != 0);
-        return o;
-    }
-}
 
 /** Native u16 cell load (register file or the op's immediate cell). */
 inline std::uint32_t
@@ -725,8 +609,6 @@ class ShimMem
     DCtx *st_;
 };
 
-#define SWAPRAM_INLINE inline __attribute__((always_inline))
-
 /** Replay the fetch stream's dynamic hardware-cache probes (at most
  *  two line runs; same-line followers are folded statically). The
  *  first probe's stall contributions are per-op (fc0/fm0): normally
@@ -787,7 +669,7 @@ kernNR(DCtx *st, TOp *op)
     if constexpr (fmt1Writes<OP>())
         cellStore(op->dp, o.r, op->mask);
     if constexpr (fmt1Flags<OP>())
-        setF(regs, o.n, o.z, o.c, o.v);
+        setFlags(regs, o);
     return 0;
 }
 
@@ -808,7 +690,7 @@ kernMR(DCtx *st, TOp *op)
     if constexpr (fmt1Writes<OP>())
         cellStore(op->dp, o.r, op->mask);
     if constexpr (fmt1Flags<OP>())
-        setF(regs, o.n, o.z, o.c, o.v);
+        setFlags(regs, o);
     return 0;
 }
 
@@ -836,7 +718,7 @@ kernNM(DCtx *st, TOp *op)
         st->gens->noteWrite(op->b, op->byte ? 1 : 2);
     }
     if constexpr (fmt1Flags<OP>())
-        setF(regs, o.n, o.z, o.c, o.v);
+        setFlags(regs, o);
     if constexpr (fmt1Writes<OP>()) {
         if (op->smc)
             return 2;
@@ -868,7 +750,7 @@ kernDR(DCtx *st, TOp *op)
     if constexpr (fmt1Writes<OP>())
         cellStore(op->dp, o.r, op->mask);
     if constexpr (fmt1Flags<OP>())
-        setF(regs, o.n, o.z, o.c, o.v);
+        setFlags(regs, o);
     return 0;
 }
 
@@ -895,7 +777,7 @@ kernND(DCtx *st, TOp *op)
     if constexpr (fmt1Writes<OP>())
         dynStore(st, addr, o.r, op->byte != 0);
     if constexpr (fmt1Flags<OP>())
-        setF(regs, o.n, o.z, o.c, o.v);
+        setFlags(regs, o);
     if constexpr (fmt1Writes<OP>()) {
         if (st->smc)
             return 2;
@@ -903,23 +785,21 @@ kernND(DCtx *st, TOp *op)
     return 0;
 }
 
-/** RRC/RRA on a register destination (mask distinguishes .B). */
-template <bool RRC>
+/** RRC, RRA, SWPB or SXT on a register destination (mask
+ *  distinguishes RRC.B/RRA.B; SWPB and SXT are word-only). */
+template <Op OP>
 SWAPRAM_INLINE int
-kernRot(DCtx *st, TOp *op)
+kernFmt2(DCtx *st, TOp *op)
 {
-    namespace sr = isa::sr;
     tFetch(st, op);
     std::uint16_t *regs = st->regs;
     regs[0] = op->next_pc;
-    std::uint32_t v = cellLoad(op->dp, op->mask);
-    std::uint32_t r;
-    if constexpr (RRC)
-        r = ((v >> 1) | ((regs[2] & sr::kC) ? op->msb : 0)) & op->mask;
-    else
-        r = ((v >> 1) | (v & op->msb)) & op->mask;
-    cellStore(op->dp, r, op->mask);
-    setF(regs, (r & op->msb) != 0, r == 0, (v & 1) != 0, false);
+    const std::uint32_t mask = fmt2WordOnly<OP>() ? 0xFFFF : op->mask;
+    const std::uint32_t msb = fmt2WordOnly<OP>() ? 0x8000 : op->msb;
+    AluR o = fmt2Alu<OP>(cellLoad(op->dp, mask), regs[2], mask, msb);
+    cellStore(op->dp, o.r, mask);
+    if constexpr (fmt2Flags<OP>())
+        setFlags(regs, o);
     return 0;
 }
 
@@ -1055,27 +935,17 @@ dispatchRun(DCtx *st, TOp *op)
 #undef X
 
 L_rrc:
-    SWAPRAM_RUN(kernRot<true>(st, op));
+    SWAPRAM_RUN(kernFmt2<Op::Rrc>(st, op));
     SWAPRAM_NEXT;
 L_rra:
-    SWAPRAM_RUN(kernRot<false>(st, op));
+    SWAPRAM_RUN(kernFmt2<Op::Rra>(st, op));
     SWAPRAM_NEXT;
-L_swpb : {
-    tFetch(st, op);
-    st->regs[0] = op->next_pc;
-    std::uint32_t v = cellLoad(op->dp, 0xFFFF);
-    cellStore(op->dp, ((v >> 8) | (v << 8)) & 0xFFFF, 0xFFFF);
+L_swpb:
+    SWAPRAM_RUN(kernFmt2<Op::Swpb>(st, op));
     SWAPRAM_NEXT;
-}
-L_sxt : {
-    tFetch(st, op);
-    st->regs[0] = op->next_pc;
-    std::uint32_t v = cellLoad(op->dp, 0xFF);
-    std::uint32_t r = (v & 0x80) ? (v | 0xFF00) : v;
-    cellStore(op->dp, r, 0xFFFF);
-    setF(st->regs, (r & 0x8000) != 0, r == 0, r != 0, false);
+L_sxt:
+    SWAPRAM_RUN(kernFmt2<Op::Sxt>(st, op));
     SWAPRAM_NEXT;
-}
 L_push:
     SWAPRAM_RUN(kernPush(st, op));
     SWAPRAM_NEXT;
@@ -1086,21 +956,18 @@ L_jmp:
     tFetch(st, op);
     st->regs[0] = op->a;
     SWAPRAM_NEXT;
-L_jcc : {
+L_jcc:
     tFetch(st, op);
-    bool taken =
-        ((st->regs[2] & op->mask) != 0) == (op->ra != 0);
-    st->regs[0] = taken ? op->a : op->next_pc;
+    st->regs[0] = branchTaken({op->mask, op->ra != 0, false}, st->regs[2])
+                      ? op->a
+                      : op->next_pc;
     SWAPRAM_NEXT;
-}
-L_jsigned : {
-    namespace sr = isa::sr;
+L_jsigned:
     tFetch(st, op);
-    bool n = (st->regs[2] & sr::kN) != 0;
-    bool v = (st->regs[2] & sr::kV) != 0;
-    st->regs[0] = ((n == v) == (op->ra != 0)) ? op->a : op->next_pc;
+    st->regs[0] = branchTaken({0, op->ra != 0, true}, st->regs[2])
+                      ? op->a
+                      : op->next_pc;
     SWAPRAM_NEXT;
-}
 L_generic:
     SWAPRAM_RUN(kernGeneric(st, op, core));
     SWAPRAM_NEXT;
@@ -1330,24 +1197,13 @@ ThreadedEngine::build(std::uint16_t pc)
         const Op o = in.op;
         switch (isa::opFormat(o)) {
           case isa::OpFormat::Jump: {
-            namespace sr = isa::sr;
+            const BranchRule rule = branchRule(o);
             t.a = in.jump_target;
-            if (o == Op::Jmp) {
-                kid = kJmp;
-            } else if (o == Op::Jge || o == Op::Jl) {
-                kid = kJSigned;
-                t.ra = o == Op::Jge ? 1 : 0;
-            } else {
-                kid = kJcc;
-                switch (o) {
-                  case Op::Jne: t.mask = sr::kZ; t.ra = 0; break;
-                  case Op::Jeq: t.mask = sr::kZ; t.ra = 1; break;
-                  case Op::Jnc: t.mask = sr::kC; t.ra = 0; break;
-                  case Op::Jc: t.mask = sr::kC; t.ra = 1; break;
-                  case Op::Jn: t.mask = sr::kN; t.ra = 1; break;
-                  default: kid = kGeneric; break;
-                }
-            }
+            t.mask = rule.mask;
+            t.ra = rule.when ? 1 : 0;
+            kid = o == Op::Jmp     ? kJmp
+                  : rule.signed_nv ? kJSigned
+                                   : kJcc;
             break;
           }
           case isa::OpFormat::DoubleOperand: {

@@ -38,9 +38,14 @@
  *     and fully dynamic accounting (the dyn* helpers in threaded.cc),
  *     which replays the bus's region counting, code/data
  *     classification and FRAM timing model exactly.
- * Whatever does not fit a specialized kernel runs a generic kernel:
- * the shared ExecCore template over a memory policy built from those
- * same helpers, so the semantics stay single-sourced.
+ * Every kernel takes its instruction semantics from sim/exec.hh: the
+ * specialized kernels load their pre-resolved operands, then call the
+ * shared ALU, shift, flag and branch rules (fmt1Alu, fmt2Alu,
+ * setFlags, branchRule) that ExecCore runs too. Whatever does not fit
+ * a specialized kernel runs a generic kernel: the shared ExecCore
+ * template over a memory policy built from those same helpers. So the
+ * semantics stay single-sourced, and this tier owns only lowering,
+ * dispatch and accounting.
  *
  * Invalidation piggybacks on the write paths that already feed the
  * predecode cache's 3-slot invalidation: every store bumps per-page

@@ -298,7 +298,8 @@ parseArgs(int argc, char **argv)
             else if (v == "block")
                 args.system = harness::System::BlockCache;
             else
-                usage();
+                support::fatal("--system: '", v,
+                               "' is not baseline, swapram or block");
         } else if (a == "--placement") {
             args.placement_set = true;
             std::string v = next();
@@ -313,7 +314,9 @@ parseArgs(int argc, char **argv)
             else if (v == "split")
                 args.placement = harness::Placement::Split;
             else
-                usage();
+                support::fatal("--placement: '", v,
+                               "' is not unified, standard, sram-code, "
+                               "sram-all or split");
         } else if (a == "--clock") {
             auto mhz = parseNumber<std::uint32_t>("--clock", next());
             if (mhz == 0 ||
@@ -425,6 +428,9 @@ parseArgs(int argc, char **argv)
         } else if (a == "--golden-out") {
             args.golden_out = next();
         } else if (!a.empty() && a[0] != '-') {
+            if (!args.file.empty())
+                support::fatal("input file: '", a, "' given after '",
+                               args.file, "'; give one input file");
             args.file = a;
         } else {
             std::fprintf(stderr, "swapram_tool: unknown option '%s'\n",
@@ -432,6 +438,10 @@ parseArgs(int argc, char **argv)
             usage();
         }
     }
+    if (!args.file.empty() && !args.workload.empty())
+        support::fatal("--workload: '", args.workload,
+                       "' given with input file '", args.file,
+                       "'; give one or the other");
     return args;
 }
 
@@ -459,10 +469,8 @@ loadSource(const Args &args, const workloads::Workload **wl_out)
 
 /** The full program: startup (if `main` is used as entry) + source. */
 masm::Program
-buildProgram(const Args &args, const harness::PlacementPlan &plan,
-             const std::string &source)
+buildProgram(const harness::PlacementPlan &plan, const std::string &source)
 {
-    (void)args;
     if (source.find("__start") != std::string::npos)
         return masm::parse(source);
     return masm::parse(harness::startupSource(plan.stack_top) + source);
@@ -527,7 +535,7 @@ cmdAssemble(const Args &args)
     const workloads::Workload *wl = nullptr;
     std::string source = loadSource(args, &wl);
     auto plan = harness::makePlacement(args.placement);
-    auto program = buildProgram(args, plan, source);
+    auto program = buildProgram(plan, source);
     auto assembled = masm::assemble(program, plan.layout);
     std::printf("%s", masm::sectionSummary(assembled.image).c_str());
     std::printf("entry %s, %zu symbols, %zu functions\n",
@@ -544,7 +552,7 @@ cmdTransform(const Args &args)
     const workloads::Workload *wl = nullptr;
     std::string source = loadSource(args, &wl);
     auto plan = harness::makePlacement(args.placement);
-    auto program = buildProgram(args, plan, source);
+    auto program = buildProgram(plan, source);
     if (args.system == harness::System::BlockCache) {
         auto info = bb::build(program, plan.layout, args.block);
         std::fprintf(stderr,
@@ -1820,7 +1828,7 @@ cmdDisasm(const Args &args)
     const workloads::Workload *wl = nullptr;
     std::string source = loadSource(args, &wl);
     auto plan = harness::makePlacement(args.placement);
-    auto program = buildProgram(args, plan, source);
+    auto program = buildProgram(plan, source);
     auto assembled = masm::assemble(program, plan.layout);
     if (args.func.empty()) {
         auto all = masm::reimportAllFunctions(assembled);
