@@ -1,7 +1,5 @@
 #include "sim/bus.hh"
 
-#include <algorithm>
-
 #include "support/logging.hh"
 #include "support/strings.hh"
 
@@ -9,14 +7,9 @@ namespace swapram::sim {
 
 Bus::Bus(Memory &memory, Mmio &mmio, Stats &stats,
          const MachineConfig &config)
-    : memory_(memory), mmio_(mmio), stats_(stats), config_(config)
+    : memory_(memory), mmio_(mmio), stats_(stats), config_(config),
+      timing_(config)
 {
-}
-
-void
-Bus::beginInstruction()
-{
-    fram_accesses_this_instr_ = 0;
 }
 
 void
@@ -50,56 +43,28 @@ Bus::account(std::uint16_t addr, RegionKind region, AccessKind kind)
     }
 
     if (region != RegionKind::Mmio) {
-        bool code = addr >= code_base_ &&
-                    static_cast<std::uint32_t>(addr) < code_end_;
-        if (code)
+        if (code_.contains(addr))
             ++stats_.code_space_accesses;
         else
             ++stats_.data_space_accesses;
     }
 
     if (region == RegionKind::Fram) {
-        std::uint32_t ws = config_.effectiveWaitStates();
-        // Contention (paper §2.2/§5.4): one instruction dispatching
-        // multiple accesses to *distant* FRAM addresses bottlenecks at
-        // the cache controller regardless of clock frequency: the
-        // second and later FRAM accesses of an instruction contend if
-        // they touch a different 8-byte line than the previous one.
-        // An access stalls for max(wait states, contention) — a miss's
-        // wait states already serialize it against the earlier access.
-        std::uint32_t line = addr >> 3;
-        bool contends =
-            fram_accesses_this_instr_ > 0 && line != last_fram_line_;
-        last_fram_line_ = line;
-        ++fram_accesses_this_instr_;
-        std::uint32_t contention =
-            contends ? config_.contention_stall : 0;
-
-        std::uint32_t stall = 0;
-        if (kind == AccessKind::Write) {
-            // Writes go to the FRAM array directly (write-through
-            // controller); they pay the wait states but do not disturb
-            // the read cache's tag state.
-            stall = std::max(ws, contention);
-        } else if (config_.hw_cache_enabled) {
-            bool hit = hw_cache_.access(addr);
-            if (hit) {
-                ++stats_.fram_cache_hits;
-                stall = contention;
-            } else {
-                ++stats_.fram_cache_misses;
-                stall = std::max(ws, contention);
+        const bool contends = fram_chain_.next(addr);
+        bool hit = false;
+        if (kind != AccessKind::Write) {
+            if (timing_.hwCacheEnabled()) {
+                hit = hw_cache_.access(addr);
+                if (trace_ && trace_->wants(trace::kCatHwCache)) {
+                    trace_->emit({now(),
+                                  hit ? trace::EventKind::HwCacheHit
+                                      : trace::EventKind::HwCacheMiss,
+                                  0, addr, 0, 0});
+                }
             }
-            if (trace_ && trace_->wants(trace::kCatHwCache)) {
-                trace_->emit({now(),
-                              hit ? trace::EventKind::HwCacheHit
-                                  : trace::EventKind::HwCacheMiss,
-                              0, addr, 0, 0});
-            }
-        } else {
-            ++stats_.fram_cache_misses;
-            stall = std::max(ws, contention);
+            ++(hit ? stats_.fram_cache_hits : stats_.fram_cache_misses);
         }
+        const std::uint32_t stall = timing_.stall(hit, contends);
         stats_.stall_cycles += stall;
         if (stall && metrics_) {
             metrics_->heatmap.recordStall(addr, stall);
@@ -153,12 +118,7 @@ Bus::write16(std::uint16_t addr, std::uint16_t value)
         mmio_.write(addr, value, now());
     else
         memory_.write16(addr, value);
-    if (predecode_) {
-        predecode_->invalidateWrite(addr);
-        ++stats_.predecode_invalidations;
-    }
-    if (page_gens_)
-        page_gens_->noteWrite(addr, 2);
+    stats_.predecode_invalidations += stores_.note(addr, 2);
     traceAccess(addr, value, AccessKind::Write, false);
 }
 
@@ -171,12 +131,7 @@ Bus::write8(std::uint16_t addr, std::uint8_t value)
         mmio_.write(addr, value, now());
     else
         memory_.write8(addr, value);
-    if (predecode_) {
-        predecode_->invalidateWrite(addr);
-        ++stats_.predecode_invalidations;
-    }
-    if (page_gens_)
-        page_gens_->noteWrite(addr, 1);
+    stats_.predecode_invalidations += stores_.note(addr, 1);
     traceAccess(addr, value, AccessKind::Write, true);
 }
 

@@ -50,14 +50,6 @@
 #include "sim/bus.hh"
 #include "support/logging.hh"
 
-/** The rules in this file run inside the threaded tier's kernels, once per
- *  simulated instruction: force them inline there. */
-#if defined(__GNUC__)
-#define SWAPRAM_INLINE inline __attribute__((always_inline))
-#else
-#define SWAPRAM_INLINE inline
-#endif
-
 namespace swapram::sim {
 
 /** The twelve Format I ops, in opcode order (Op::Mov + i). */

@@ -55,10 +55,11 @@ class HwCache
     /** True if the line containing @p addr is present (no state change). */
     bool probe(std::uint16_t addr) const;
 
+    static constexpr int kLineShift = 3; // 8-byte lines
+
   private:
     static constexpr int kSets = platform::kHwCacheSets;
     static constexpr int kWays = platform::kHwCacheWays;
-    static constexpr int kLineShift = 3; // 8-byte lines
 
     struct Way {
         bool valid = false;

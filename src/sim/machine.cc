@@ -56,12 +56,11 @@ Machine::Machine(const MachineConfig &config)
     // worst-case cycle bounds (at most 32 instructions × 6 accesses ×
     // 0xFFFF) from overflowing, so a config whose stalls do not fit
     // runs every instruction on the oracle.
-    const bool stalls_fit = config_.effectiveWaitStates() <= 0xFFFF &&
-                            config_.contention_stall <= 0xFFFF;
+    const bool stalls_fit = bus_.framTiming().maxStall() <= 0xFFFF;
     if (config_.superblock_enabled && config_.threaded_enabled &&
         stalls_fit && ThreadedEngine::available()) {
         threaded_ = std::make_unique<ThreadedEngine>(
-            cpu_, memory_, bus_, stats_, config_, predecode_.get(),
+            cpu_, memory_, bus_, stats_, config_,
             [this](std::uint16_t pc) {
                 return static_cast<std::uint8_t>(classifyPc(pc));
             });

@@ -11,7 +11,6 @@
 
 #if SWAPRAM_THREADED_AVAILABLE
 
-#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -40,6 +39,8 @@ using isa::Operand;
  *     FRAM address with the hardware cache on; the line-contention
  *     component of the stall is static (the fetch stream's addresses
  *     are fixed), so both outcomes' stalls are precomputed.
+ *   - chain: the contention chain after the fetch words, which the
+ *     dynamic data accesses continue.
  * The op's share of the block's static totals sits in its TDelta.
  */
 struct alignas(64) TOp {
@@ -54,7 +55,7 @@ struct alignas(64) TOp {
     std::uint16_t fa0 = 0, fa1 = 0;
     std::uint16_t fc0 = 0, fm0 = 0; ///< first fetch probe hit/miss stall
     std::uint16_t d0_hit = 0, d0_miss = 0;
-    std::uint16_t lastline = 0;
+    FramLineChain chain;
     std::uint8_t byte = 0;
     std::uint8_t runs = 0;
     std::uint8_t probe = 0;
@@ -64,7 +65,6 @@ struct alignas(64) TOp {
     std::uint8_t rd = 0;  ///< dyn dst reg index
     std::uint8_t inc = 0; ///< @Rn+ post-increment amount
     std::uint8_t smc = 0; ///< static store into the block's own code
-    std::uint8_t chain = 0; ///< FRAM fetch words seeding data contention
 };
 static_assert(sizeof(TOp) == 64, "TOp must stay one cache line");
 
@@ -383,8 +383,9 @@ struct DCtx {
     std::array<std::uint16_t, 16> *regs_arr = nullptr;
     std::uint8_t *bytes = nullptr;
     HwCache *hw = nullptr;
-    PredecodeCache *pre = nullptr;
-    PageGenTable *gens = nullptr;
+    const FramTiming *fram = nullptr;
+    StoreInvalidation stores;
+    CodeRange code;
 
     // Dynamic accumulators (AccIdx order), flushed to Stats once per
     // chain. Each block entry adds its static base and stall cycles
@@ -393,12 +394,7 @@ struct DCtx {
     // from every slot (u64 wraparound keeps the sums exact).
     alignas(32) std::array<std::uint64_t, kNumAcc> acc{};
 
-    // Timing-model constants.
-    std::uint32_t ws = 0, cstall = 0, ms = 0; ///< ms = max(ws, cstall)
     std::uint32_t sram_size = 0;
-    std::uint16_t code_base = 0;
-    std::uint32_t code_end = 0;
-    bool hw_on = true;
 
     // Per-block self-modification window.
     std::uint16_t blk_start = 0;
@@ -420,8 +416,8 @@ struct DCtx {
     bool chain_in_recovery = false;
     std::uint8_t chain_owner = 0; ///< entry block's owner (observed)
 
-    // Per-instruction FRAM line-contention chain (dynamic paths).
-    std::uint32_t fram_count = 0, last_line = 0;
+    /// The running instruction's contention chain (dynamic paths).
+    FramLineChain chain;
 
     // Bail-out report: the op the dispatch stopped at, and why.
     TOp *bail_op = nullptr;
@@ -465,53 +461,14 @@ simStore(std::uint8_t *dp, std::uint32_t r, std::uint32_t mask)
 }
 
 
-/** The bus's FRAM read timing model for one dynamic data access;
- *  returns after updating the contention chain and the dynamic
- *  counters. */
+/** One dynamic FRAM data read under the bus's timing rules. */
 inline void
 dynFramRead(DCtx *st, std::uint16_t addr)
 {
-    std::uint32_t line = addr >> 3;
-    bool contends = st->fram_count > 0 && line != st->last_line;
-    st->last_line = line;
-    ++st->fram_count;
-    std::uint32_t contention = contends ? st->cstall : 0;
-    std::uint32_t stall;
-    if (st->hw_on) {
-        if (st->hw->access(addr)) {
-            ++st->acc[kAccHits];
-            stall = contention;
-        } else {
-            ++st->acc[kAccMisses];
-            stall = std::max(st->ws, contention);
-        }
-    } else {
-        ++st->acc[kAccMisses];
-        stall = std::max(st->ws, contention);
-    }
-    st->acc[kAccStall] += stall;
-}
-
-/** The bus's FRAM write timing model (writes bypass the hardware
- *  cache). */
-inline void
-dynFramWrite(DCtx *st, std::uint16_t addr)
-{
-    std::uint32_t line = addr >> 3;
-    bool contends = st->fram_count > 0 && line != st->last_line;
-    st->last_line = line;
-    ++st->fram_count;
-    st->acc[kAccStall] += std::max(st->ws, contends ? st->cstall : 0u);
-}
-
-inline void
-dynClassify(DCtx *st, std::uint16_t addr)
-{
-    if (addr >= st->code_base &&
-        static_cast<std::uint32_t>(addr) < st->code_end)
-        ++st->acc[kAccCode];
-    else
-        ++st->acc[kAccData];
+    const bool contends = st->chain.next(addr);
+    const bool hit = st->fram->hwCacheEnabled() && st->hw->access(addr);
+    ++st->acc[hit ? kAccHits : kAccMisses];
+    st->acc[kAccStall] += st->fram->stall(hit, contends);
 }
 
 /** Dynamic-address load with the bus's full accounting (the caller
@@ -521,7 +478,7 @@ dynLoad(DCtx *st, std::uint16_t addr, bool byte)
 {
     if (!byte && (addr & 1))
         support::fatal("unaligned word read at ", support::hex16(addr));
-    dynClassify(st, addr);
+    ++st->acc[st->code.contains(addr) ? kAccCode : kAccData];
     if (addr >= platform::kFramBase) {
         ++st->acc[kAccFramRead];
         dynFramRead(st, addr);
@@ -536,31 +493,17 @@ dynLoad(DCtx *st, std::uint16_t addr, bool byte)
             << 8);
 }
 
-/** Store-side invalidation duties: predecode 3-slot drop (as the bus
- *  does), page-generation bump, own-block SMC detection. */
-inline void
-dynNoteStore(DCtx *st, std::uint16_t addr, unsigned nbytes)
-{
-    if (st->pre) {
-        st->pre->invalidateWrite(addr);
-        ++st->acc[kAccPreInval];
-    }
-    st->gens->noteWrite(addr, nbytes);
-    std::uint32_t lo = addr;
-    if (lo < st->blk_end && lo + nbytes > st->blk_start)
-        st->smc = true;
-}
-
-/** Dynamic-address store with the bus's full accounting. */
+/** Dynamic-address store with the bus's full accounting and store
+ *  invalidation, plus own-block SMC detection. */
 inline void
 dynStore(DCtx *st, std::uint16_t addr, std::uint32_t value, bool byte)
 {
     if (!byte && (addr & 1))
         support::fatal("unaligned word write at ", support::hex16(addr));
-    dynClassify(st, addr);
+    ++st->acc[st->code.contains(addr) ? kAccCode : kAccData];
     if (addr >= platform::kFramBase) {
         ++st->acc[kAccFramWrite];
-        dynFramWrite(st, addr);
+        st->acc[kAccStall] += st->fram->stall(false, st->chain.next(addr));
     } else {
         ++st->acc[kAccSramWrite];
     }
@@ -568,7 +511,10 @@ dynStore(DCtx *st, std::uint16_t addr, std::uint32_t value, bool byte)
     if (!byte)
         st->bytes[static_cast<std::uint16_t>(addr + 1)] =
             static_cast<std::uint8_t>((value >> 8) & 0xFF);
-    dynNoteStore(st, addr, byte ? 1 : 2);
+    const unsigned nbytes = byte ? 1 : 2;
+    st->acc[kAccPreInval] += st->stores.note(addr, nbytes);
+    if (addr < st->blk_end && addr + nbytes > st->blk_start)
+        st->smc = true;
 }
 
 /**
@@ -611,10 +557,10 @@ class ShimMem
 
 /** Replay the fetch stream's dynamic hardware-cache probes (at most
  *  two line runs; same-line followers are folded statically). The
- *  first probe's stall contributions are per-op (fc0/fm0): normally
- *  0/ws (a leading run never contends), but when cross-op folding
- *  removed the leading run, the surviving probe is a contending line
- *  change and carries cstall/ms instead. */
+ *  first probe's stalls are per-op (fc0/fm0): a leading run never
+ *  contends, but when cross-op folding removed the leading run, the
+ *  surviving probe is a contending line change. A second run always
+ *  is one. */
 SWAPRAM_INLINE void
 tFetch(DCtx *st, const TOp *op)
 {
@@ -627,13 +573,9 @@ tFetch(DCtx *st, const TOp *op)
             st->acc[kAccStall] += op->fm0;
         }
         if (op->runs > 1) {
-            if (st->hw->access(op->fa1)) {
-                ++st->acc[kAccHits];
-                st->acc[kAccStall] += st->cstall;
-            } else {
-                ++st->acc[kAccMisses];
-                st->acc[kAccStall] += st->ms;
-            }
+            const bool hit = st->hw->access(op->fa1);
+            ++st->acc[hit ? kAccHits : kAccMisses];
+            st->acc[kAccStall] += st->fram->stall(hit, true);
         }
     }
 }
@@ -713,9 +655,7 @@ kernNM(DCtx *st, TOp *op)
     AluR o = fmt1Alu<OP>(src, dst, regs[2], op->mask, op->msb);
     if constexpr (fmt1Writes<OP>()) {
         simStore(op->dp, o.r, op->mask);
-        if (st->pre)
-            st->pre->invalidateWrite(op->b);
-        st->gens->noteWrite(op->b, op->byte ? 1 : 2);
+        st->stores.note(op->b, op->byte ? 1 : 2); // counted statically
     }
     if constexpr (fmt1Flags<OP>())
         setFlags(regs, o);
@@ -738,8 +678,7 @@ kernDR(DCtx *st, TOp *op)
     if (!mapped(addr, st->sram_size))
         return 1;
     tFetch(st, op);
-    st->fram_count = op->chain;
-    st->last_line = op->lastline;
+    st->chain = op->chain;
     regs[0] = op->next_pc;
     regs[op->ra] = static_cast<std::uint16_t>(regs[op->ra] + op->inc);
     std::uint32_t src = dynLoad(st, addr, op->byte != 0);
@@ -766,8 +705,7 @@ kernND(DCtx *st, TOp *op)
     if (!mapped(addr, st->sram_size))
         return 1;
     tFetch(st, op);
-    st->fram_count = op->chain;
-    st->last_line = op->lastline;
+    st->chain = op->chain;
     regs[0] = op->next_pc;
     std::uint32_t src = cellLoad(op->sp, op->mask);
     std::uint32_t dst = 0;
@@ -812,8 +750,7 @@ kernPush(DCtx *st, TOp *op)
     if (!mapped(nsp, st->sram_size))
         return 1;
     tFetch(st, op);
-    st->fram_count = op->chain;
-    st->last_line = op->lastline;
+    st->chain = op->chain;
     regs[0] = op->next_pc;
     std::uint32_t v = cellLoad(op->sp, op->mask);
     regs[1] = nsp;
@@ -830,8 +767,7 @@ kernCallImm(DCtx *st, TOp *op)
     if (!mapped(nsp, st->sram_size))
         return 1;
     tFetch(st, op);
-    st->fram_count = op->chain;
-    st->last_line = op->lastline;
+    st->chain = op->chain;
     regs[0] = op->next_pc;
     regs[1] = nsp;
     dynStore(st, nsp, op->next_pc, false);
@@ -848,8 +784,7 @@ kernGeneric(DCtx *st, TOp *op, ExecCore<ShimMem> &core)
     if (op->ra && !dynOperandsMapped(in, *st->regs_arr, st->sram_size))
         return 1;
     tFetch(st, op);
-    st->fram_count = op->chain;
-    st->last_line = op->lastline;
+    st->chain = op->chain;
     st->regs[0] = op->next_pc;
     core.execute(in);
     return st->smc ? 2 : 0;
@@ -1000,10 +935,10 @@ L_end:
 
 ThreadedEngine::ThreadedEngine(
     Cpu &cpu, Memory &memory, Bus &bus, Stats &stats,
-    const MachineConfig &config, PredecodeCache *predecode,
+    const MachineConfig &config,
     std::function<std::uint8_t(std::uint16_t)> classify)
     : cpu_(cpu), memory_(memory), bus_(bus), stats_(stats),
-      config_(config), predecode_(predecode),
+      config_(config),
       classify_(std::move(classify)), blocks_(kSlots)
 {
     labels_ = dispatchRun(nullptr, nullptr);
@@ -1021,67 +956,56 @@ ThreadedEngine::build(std::uint16_t pc)
     const bool fram_code = region == RegionKind::Fram;
     b->fram_code = fram_code;
 
-    const bool hw_on = config_.hw_cache_enabled;
-    const std::uint32_t ws = config_.effectiveWaitStates();
-    const std::uint32_t cstall = config_.contention_stall;
-    const std::uint32_t ms = std::max(ws, cstall);
-    const std::uint16_t code_base = bus_.codeBase();
-    const std::uint32_t code_end = bus_.codeEnd();
+    const FramTiming &timing = bus_.framTiming();
+    const bool hw_on = timing.hwCacheEnabled();
+    const CodeRange code = bus_.codeRange();
+    const std::uint32_t pre_drops = bus_.stores().drops();
     std::uint16_t *regs = cpu_.regs().data();
     std::uint8_t *bytes = memory_.bytes();
 
     auto regCell = [regs](isa::Reg r) {
         return reinterpret_cast<std::uint8_t *>(regs + isa::regIndex(r));
     };
-    auto inCode = [&](std::uint16_t addr) {
-        return addr >= code_base &&
-               static_cast<std::uint32_t>(addr) < code_end;
-    };
+    // The running instruction's contention chain: its fetch words, then
+    // its static data accesses in bus order.
+    FramLineChain chain;
     // Fold one static-address data read into op statics. The fetch
     // stream's addresses are fixed, so the line-contention component
     // is static; with the hardware cache on, only the hit/miss
     // outcome stays a runtime probe.
     auto staticRead = [&](std::uint16_t addr, TOp &t, TDelta &dl) {
-        ++(inCode(addr) ? dl.d_code : dl.d_data);
-        if (addr >= platform::kFramBase) {
-            ++dl.d_fram_r;
-            std::uint32_t line = addr >> 3;
-            bool contends = t.chain > 0 && line != t.lastline;
-            std::uint32_t cont = contends ? cstall : 0;
-            if (hw_on) {
-                t.probe = 1;
-                t.d0_hit = static_cast<std::uint16_t>(cont);
-                t.d0_miss = static_cast<std::uint16_t>(std::max(ws, cont));
-            } else {
-                ++dl.d_misses;
-                dl.d_stall += std::max(ws, cont);
-            }
-        } else {
+        ++(code.contains(addr) ? dl.d_code : dl.d_data);
+        if (addr < platform::kFramBase) {
             ++dl.d_sram_r;
+            return;
+        }
+        ++dl.d_fram_r;
+        const bool contends = chain.next(addr);
+        if (hw_on) {
+            t.probe = 1;
+            t.d0_hit =
+                static_cast<std::uint16_t>(timing.stall(true, contends));
+            t.d0_miss =
+                static_cast<std::uint16_t>(timing.stall(false, contends));
+        } else {
+            ++dl.d_misses;
+            dl.d_stall += timing.stall(false, contends);
         }
     };
-    // Fold one static-address data write: the stall is fully static
-    // (after_read: the preceding read of the same cell already seeded
-    // the contention chain with this line, so the write never
-    // contends). The SMC outcome is static too — both the address and
-    // the block's code window are fixed; the window's end is only
-    // known once the scan stops, so smc is narrowed there.
+    // Fold one static-address data write: the stall is fully static.
+    // The SMC outcome is static too — both the address and the block's
+    // code window are fixed; the window's end is only known once the
+    // scan stops, so smc is narrowed there.
     auto staticWrite = [&](std::uint16_t addr, TOp &t, TDelta &dl,
-                           bool after_read, unsigned nbytes) {
-        ++(inCode(addr) ? dl.d_code : dl.d_data);
+                           unsigned nbytes) {
+        ++(code.contains(addr) ? dl.d_code : dl.d_data);
         if (addr >= platform::kFramBase) {
             ++dl.d_fram_w;
-            std::uint32_t cont = 0;
-            if (!after_read) {
-                std::uint32_t line = addr >> 3;
-                cont = (t.chain > 0 && line != t.lastline) ? cstall : 0;
-            }
-            dl.d_stall += std::max(ws, cont);
+            dl.d_stall += timing.stall(false, chain.next(addr));
         } else {
             ++dl.d_sram_w;
         }
-        if (predecode_)
-            ++dl.d_pre;
+        dl.d_pre = static_cast<std::uint8_t>(pre_drops);
         t.smc = static_cast<std::uint32_t>(addr) + nbytes > pc;
     };
 
@@ -1092,7 +1016,7 @@ ThreadedEngine::build(std::uint16_t pc)
     // data writes never probe), its leading fetch probe is a guaranteed
     // hit on the MRU way: hits += 1, stall 0, LRU unchanged. Fold it
     // into the statics and drop the runtime probe.
-    std::uint32_t fold_line = 0xFFFFFFFF;
+    FramLineChain fold; ///< the previous instruction's fetch chain
     bool fold_clean = false;
     std::uint32_t worst = 0;
 
@@ -1152,44 +1076,39 @@ ThreadedEngine::build(std::uint16_t pc)
         t.msb = in.byte ? 0x80 : 0x8000;
 
         // Fetch statics: code/data classification per word, and the
-        // FRAM stream collapsed to its line runs. The 2nd+ FRAM fetch
-        // of an instruction contends iff it changes 8-byte line (static:
-        // fetches come first and their addresses are fixed).
+        // FRAM stream collapsed to its line runs (static: fetches come
+        // first and their addresses are fixed).
         dl.d_fetch = static_cast<std::uint8_t>(n_words);
-        std::uint32_t line = 0; ///< line of the last fetch word
+        chain = {};
         int runs = 0;
         for (int w = 0; w < n_words; ++w) {
             const auto wa = static_cast<std::uint16_t>(cur + 2 * w);
-            ++(inCode(wa) ? dl.d_code : dl.d_data);
+            ++(code.contains(wa) ? dl.d_code : dl.d_data);
             if (!fram_code)
                 continue;
-            const bool contends = w > 0 && (wa >> 3u) != line;
-            line = wa >> 3;
+            const bool contends = chain.next(wa);
             if (!hw_on) {
-                dl.d_stall += contends ? ms : ws;
+                dl.d_stall += timing.stall(false, contends);
                 ++dl.d_misses;
             } else if (w == 0 || contends) {
                 (runs++ == 0 ? t.fa0 : t.fa1) = wa;
             }
         }
-        if (fram_code) {
-            // Data accesses contend against the fetch stream's lines.
-            t.chain = static_cast<std::uint8_t>(n_words);
-            t.lastline = static_cast<std::uint16_t>(line);
-            if (hw_on) {
-                t.fm0 = static_cast<std::uint16_t>(ws);
-                if (runs > 0 && fold_clean && (cur >> 3) == fold_line) {
-                    // The surviving probe (if any) is the old second
-                    // run — a contending line change, not a leading
-                    // run — so it keeps run-1 stall contributions.
-                    t.fa0 = t.fa1;
-                    t.fc0 = static_cast<std::uint16_t>(cstall);
-                    t.fm0 = static_cast<std::uint16_t>(ms);
-                    --runs;
-                }
-                t.runs = static_cast<std::uint8_t>(runs);
-                dl.d_hits = static_cast<std::uint8_t>(n_words - runs);
+        // Dynamic data accesses continue the fetch stream's chain.
+        t.chain = chain;
+        if (fram_code && hw_on) {
+            t.fc0 = static_cast<std::uint16_t>(timing.stall(true, false));
+            t.fm0 = static_cast<std::uint16_t>(timing.stall(false, false));
+            if (runs > 0 && fold_clean && fold.sameLine(cur16)) {
+                // The surviving probe (if any) is the old second run —
+                // a contending line change, not a leading run.
+                t.fa0 = t.fa1;
+                t.fc0 = static_cast<std::uint16_t>(timing.stall(true, true));
+                t.fm0 = static_cast<std::uint16_t>(timing.stall(false, true));
+                --runs;
             }
+            t.runs = static_cast<std::uint8_t>(runs);
+            dl.d_hits = static_cast<std::uint8_t>(n_words - runs);
         }
 
         // Kernel selection.
@@ -1239,12 +1158,10 @@ ThreadedEngine::build(std::uint16_t pc)
                 kid = kNMBase + op_off;
                 t.b = d.value;
                 t.dp = bytes + d.value;
-                const bool reads_dst = o != Op::Mov;
-                if (reads_dst)
+                if (o != Op::Mov)
                     staticRead(d.value, t, dl);
                 if (o != Op::Cmp && o != Op::Bit)
-                    staticWrite(d.value, t, dl, reads_dst,
-                                in.byte ? 1 : 2);
+                    staticWrite(d.value, t, dl, in.byte ? 1 : 2);
             } else if ((s.mode == Mode::Indexed ||
                         s.mode == Mode::Indirect ||
                         s.mode == Mode::IndirectInc) &&
@@ -1323,11 +1240,11 @@ ThreadedEngine::build(std::uint16_t pc)
         // Fold state for the next instruction's leading fetch run:
         // dirty when this op can issue a data-read probe (static FRAM
         // read, dynamic-address read, or anything via the generic
-        // core). Dynamic and generic writes go through framStall's
-        // write path, which never probes, but a dynamic *read* might
-        // land in FRAM, so DR / read-modify-write ND / generic all
-        // invalidate the MRU assumption.
-        fold_line = line;
+        // core). Dynamic and generic writes never probe the hardware
+        // cache, but a dynamic *read* might land in FRAM, so DR /
+        // read-modify-write ND / generic all invalidate the MRU
+        // assumption.
+        fold = t.chain;
         const bool may_probe =
             t.probe != 0 || (kid >= kDRBase && kid < kDRBase + 12) ||
             (kid >= kNDBase && kid < kNDBase + 12 && o != Op::Mov) ||
@@ -1348,8 +1265,8 @@ ThreadedEngine::build(std::uint16_t pc)
         b->tot[kAccPreInval] += dl.d_pre;
 
         b->writes_sr |= a.writes_sr;
-        worst += dl.d_base +
-                 ms * ((fram_code ? n_words : 0) + a.max_data);
+        worst += dl.d_base + timing.maxStall() *
+                                 ((fram_code ? n_words : 0) + a.max_data);
         ++b->n;
         b->end_addr = end;
         if (a.terminator || end >= 0x10000)
@@ -1525,15 +1442,10 @@ ThreadedEngine::runChain(const ChainLimits &limits)
     st.regs = cpu_.regs().data();
     st.bytes = memory_.bytes();
     st.hw = &bus_.hwCache();
-    st.pre = predecode_;
-    st.gens = &gens_;
-    st.ws = config_.effectiveWaitStates();
-    st.cstall = config_.contention_stall;
-    st.ms = std::max(st.ws, st.cstall);
+    st.fram = &bus_.framTiming();
+    st.stores = bus_.stores();
+    st.code = bus_.codeRange();
     st.sram_size = config_.sram_size;
-    st.code_base = bus_.codeBase();
-    st.code_end = bus_.codeEnd();
-    st.hw_on = config_.hw_cache_enabled;
 
     st.eng = this;
     st.limits = &limits;
@@ -1641,10 +1553,10 @@ struct ThreadedEngine::Block {
 
 ThreadedEngine::ThreadedEngine(
     Cpu &cpu, Memory &memory, Bus &bus, Stats &stats,
-    const MachineConfig &config, PredecodeCache *predecode,
+    const MachineConfig &config,
     std::function<std::uint8_t(std::uint16_t)> classify)
     : cpu_(cpu), memory_(memory), bus_(bus), stats_(stats),
-      config_(config), predecode_(predecode),
+      config_(config),
       classify_(std::move(classify))
 {
 }

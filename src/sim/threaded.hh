@@ -28,16 +28,16 @@
  *   - Symbolic/Absolute operands become a direct uint8_t* into the flat
  *     memory array, with their region counters, code/data
  *     classification, and FRAM wait-state/contention stalls folded into
- *     static per-block totals (only the hardware-cache hit/miss outcome
- *     stays dynamic);
+ *     static per-block totals by the bus's timing rules (sim/bus.hh;
+ *     only the hardware-cache hit/miss outcome stays dynamic);
  *   - FRAM fetch streams collapse to at most two hardware-cache line
  *     probes per instruction (three sequential fetch words span at most
  *     two 8-byte lines; the followers are guaranteed hits with zero
  *     stall and fold into the static totals);
  *   - register-dependent operands keep an inline mapped-space pre-check
  *     and fully dynamic accounting (the dyn* helpers in threaded.cc),
- *     which replays the bus's region counting, code/data
- *     classification and FRAM timing model exactly.
+ *     which call the bus's timing, classification and store-
+ *     invalidation rules per access.
  * Every kernel takes its instruction semantics from sim/exec.hh: the
  * specialized kernels load their pre-resolved operands, then call the
  * shared ALU, shift, flag and branch rules (fmt1Alu, fmt2Alu,
@@ -92,7 +92,6 @@
 #include "sim/cpu.hh"
 #include "sim/memory.hh"
 #include "sim/pagegen.hh"
-#include "sim/predecode.hh"
 #include "sim/stats.hh"
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -115,12 +114,11 @@ class ThreadedEngine
         return SWAPRAM_THREADED_AVAILABLE != 0;
     }
 
-    /** @p predecode is the cache the fast store path invalidates
-     *  (nullptr = none; not owned). @p classify names the CodeOwner
-     *  of a PC (Machine::classifyPc), read at build time to
-     *  pre-attribute instr_by_owner. */
+    /** @p classify names the CodeOwner of a PC (Machine::classifyPc),
+     *  read at build time to pre-attribute instr_by_owner. Direct
+     *  stores invalidate what @p bus's stores() names. */
     ThreadedEngine(Cpu &cpu, Memory &memory, Bus &bus, Stats &stats,
-                   const MachineConfig &config, PredecodeCache *predecode,
+                   const MachineConfig &config,
                    std::function<std::uint8_t(std::uint16_t)> classify);
     ~ThreadedEngine();
 
@@ -234,7 +232,6 @@ class ThreadedEngine
     Bus &bus_;
     Stats &stats_;
     const MachineConfig &config_;
-    PredecodeCache *predecode_;
     std::function<std::uint8_t(std::uint16_t)> classify_;
 
     PageGenTable gens_;

@@ -12,8 +12,9 @@
  * MMIO operands, stores into the executing block, fault/timer cycle
  * boundaries, mid-eviction and data-pool swap windows under capacity
  * pressure, harvest brown-outs landing mid-chain, the full golden
- * workload×system×sram_size matrix, and the stall-width gate that
- * keeps oversized wait-state configs on the oracle.
+ * workload×system×sram_size matrix, the FRAM timing configurations
+ * (hardware cache, wait states, contention stall), and the stall-width
+ * gate that keeps oversized wait-state configs on the oracle.
  */
 
 #include <gtest/gtest.h>
@@ -254,16 +255,20 @@ TEST(Threaded, SelfModifyingStoreInOwnBlockMatchesOracle)
     EXPECT_GT(on.stats().threaded_bail_smc, 0u);
 }
 
-/** Run @p body on the threaded tier and the oracle: the threaded run
- *  must match the oracle in every simulated counter, in every register
- *  and in all of memory, and retire no more instructions threaded than
- *  in total. Returns the threaded run's Stats. */
+/** Run @p body on the threaded tier and the oracle, both otherwise
+ *  configured as @p config: the threaded run must match the oracle in
+ *  every simulated counter, in every register and in all of memory,
+ *  and retire no more instructions threaded than in total. Returns the
+ *  threaded run's Stats. */
 sim::Stats
 expectThreadedMatchesOracle(const std::string &body,
-                            const std::string &ctx)
+                            const std::string &ctx,
+                            sim::MachineConfig config = {})
 {
-    test::MiniRun oracle = test::runBody(body, tierConfig(Tier::Oracle));
-    test::MiniRun run = test::runBody(body, tierConfig(Tier::Threaded));
+    config.superblock_enabled = false;
+    test::MiniRun oracle = test::runBody(body, config);
+    config.superblock_enabled = true;
+    test::MiniRun run = test::runBody(body, config);
     EXPECT_TRUE(oracle.result.done) << ctx;
     EXPECT_TRUE(run.result.done) << ctx;
     expectSimStatsEqual(run.stats(), oracle.stats(), ctx);
@@ -1076,6 +1081,117 @@ TEST(Threaded, StallGateFallsBackToOracle)
         expectSimStatsEqual(withoutPredecode(s), oracle.stats(), c.name);
         EXPECT_EQ(run.machine->cpu().regs(), oracle.machine->cpu().regs())
             << c.name;
+    }
+}
+
+/** Every FRAM access shape the threaded tier lowers, in FRAM code
+ *  with its data and stack on FRAM lines of their own: a static read,
+ *  a static read-modify-write, indexed and indirect reads, an indexed
+ *  read-modify-write, PUSH and CALL (and RET and POP) on the FRAM
+ *  stack, and two generic-kernel ops. */
+const char kFramTimingBody[] =
+    "        MOV #24, R10\n"
+    "        MOV SP, R15\n"
+    "        MOV #fstk, SP\n"
+    "tloop:  MOV &fvar, R5\n"
+    "        ADD R10, &fvar\n"
+    "        MOV #fvar, R6\n"
+    "        ADD 2(R6), R7\n"
+    "        XOR @R6, R8\n"
+    "        MOV @R6+, R9\n"
+    "        ADD R5, 0(R6)\n"
+    "        PUSH R5\n"
+    "        CALL #tsub\n"
+    "        POP R5\n"
+    "        RRC &fvar\n"
+    "        MOV @R6+, 2(R6)\n"
+    "        DEC R10\n"
+    "        JNZ tloop\n"
+    "        MOV R15, SP\n"
+    "        JMP tend\n"
+    "tsub:   ADD #1, R11\n"
+    "        RET\n"
+    "        .space 64\n"
+    "fvar:   .word 0x1234, 0x5678, 0x9ABC, 0xDEF0\n"
+    "        .space 32\n"
+    "fstk:\n"
+    "tend:\n";
+
+/** Run @p built as the runner would, with its owner and recovery
+ *  ranges, under @p config. */
+std::unique_ptr<sim::Machine>
+runBuilt(const harness::BuiltImage &built, sim::MachineConfig config)
+{
+    config.sram_size = built.inputs.sram_size;
+    config.timer_period_cycles =
+        built.inputs.workload->timer_period_cycles;
+    auto machine = std::make_unique<sim::Machine>(config);
+    machine->load(built.image, built.stack_top);
+    if (built.handler.size)
+        machine->addOwnerRange(built.handler.base, built.handler.end(),
+                               sim::CodeOwner::Handler);
+    if (built.copy.size)
+        machine->addOwnerRange(built.copy.base, built.copy.end(),
+                               sim::CodeOwner::Memcpy);
+    if (built.datapool.size)
+        machine->addOwnerRange(built.datapool.base, built.datapool.end(),
+                               sim::CodeOwner::Handler);
+    if (built.recover.size)
+        machine->setRecoveryRange(built.recover.base, built.recover.end());
+    EXPECT_TRUE(machine->run().done);
+    return machine;
+}
+
+/** The FRAM timing rules under every combination of their inputs —
+ *  hardware cache on and off, wait states 0 and 3, contention stall 0
+ *  and 2 — on the access-shape body and on the nine workloads' images
+ *  for every system. Each case runs threaded and matches the
+ *  always-decode oracle in every simulated counter. */
+TEST(Threaded, FramTimingMatrixMatchesOracle)
+{
+    std::vector<std::shared_ptr<const harness::BuiltImage>> images;
+    for (const workloads::Workload &w : workloads::all()) {
+        for (harness::System system :
+             {harness::System::Baseline, harness::System::SwapRam,
+              harness::System::BlockCache}) {
+            images.push_back(harness::buildImage(
+                harness::buildInputs(harness::sweepSpec(w, system))));
+            ASSERT_TRUE(images.back()->sizes.fits) << w.name;
+        }
+    }
+    for (const bool hw_cache : {true, false}) {
+        for (const std::uint32_t wait_states : {0u, 3u}) {
+            for (const std::uint32_t contention : {0u, 2u}) {
+                sim::MachineConfig config;
+                config.hw_cache_enabled = hw_cache;
+                config.fram_wait_states = wait_states;
+                config.contention_stall = contention;
+                config.predecode_enabled = false;
+                const std::string name =
+                    std::string(hw_cache ? "cache on" : "cache off") +
+                    " ws " + std::to_string(wait_states) +
+                    " contention " + std::to_string(contention);
+
+                sim::Stats s = expectThreadedMatchesOracle(
+                    kFramTimingBody, name, config);
+                EXPECT_GT(s.threaded_instructions, 0u) << name;
+                for (const auto &built : images) {
+                    const std::string ctx =
+                        name + " " + built->inputs.workload->name + "/" +
+                        harness::systemName(built->inputs.system);
+                    config.superblock_enabled = true;
+                    auto fast = runBuilt(*built, config);
+                    config.superblock_enabled = false;
+                    auto oracle = runBuilt(*built, config);
+                    EXPECT_GT(fast->stats().threaded_instructions, 0u)
+                        << ctx;
+                    expectSimStatsEqual(fast->stats(), oracle->stats(),
+                                        ctx);
+                    EXPECT_EQ(fast->cpu().regs(), oracle->cpu().regs())
+                        << ctx;
+                }
+            }
+        }
     }
 }
 

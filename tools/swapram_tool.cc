@@ -283,7 +283,7 @@ parseArgs(int argc, char **argv)
         std::string a = argv[i];
         auto next = [&]() -> std::string {
             if (i + 1 >= argc)
-                usage();
+                support::fatal(a, ": missing value");
             return argv[++i];
         };
         if (a == "--workload") {
@@ -1160,11 +1160,12 @@ cmdRun(const Args &args_in)
         args.trace_out.empty() &&
         (args.command == "trace" || obs.categories);
     if (!args.trace_out.empty()) {
+        // A bad format fails before the file is created.
+        obs.format = streamFormat(args);
         trace_file.open(args.trace_out);
         if (!trace_file)
             support::fatal("cannot write '", args.trace_out, "'");
         obs.out = &trace_file;
-        obs.format = streamFormat(args);
     } else if (stream_stdout && obs.categories) {
         obs.out = &std::cout;
         obs.format = streamFormat(args);
